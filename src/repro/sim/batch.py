@@ -1,44 +1,36 @@
-"""Cross-cell batched simulation: many cells, one shared trace scan.
+"""Cross-cell batched simulation: many cells, one shared trace pass.
 
 The paper's headline evidence is grid-shaped — Figure 9 runs every
 application across the full (scheme x subpage size x memory size)
-matrix — and every cell of such a grid walks the *same* trace.  The
-fast engine (:mod:`repro.sim.engine`) already amortizes the per-trace
-column and occurrence caches across cells, but it still pays the
-expensive part of every bulk span — deduplicating page switches with
-``np.unique``/``argsort`` and rediscovering write sets — once per cell
-per span.  Those structures do not depend on the cell at all: which run
-switches to which page, and where that page switches next, is a
-property of the trace alone.
+matrix — and every cell of such a grid walks the *same* trace.  Which
+run switches to which page, and where that page switches next, is a
+property of the trace alone, so this module computes it once per trace
+in a :class:`TraceScan` shared by every cell of a batch:
 
-This module hoists that work into a :class:`TraceScan`, computed once
-per trace and shared by every cell of a batch:
+* ``switch_pos``/``switch_next`` — the position of every page switch,
+  plus the position of the *next* switch to the same page.  Any span
+  ``[i, j)`` recovers its replacement-policy touch sequence (each
+  switched page's **last** switch, in ascending order — exactly the
+  fast engine's dedup order) with two ``searchsorted`` probes and one
+  vectorized compare ``switch_next >= j``, instead of a per-span sort.
+* ``write_pos``/``write_prev`` — the same structure for write runs:
+  ``write_prev < i`` selects each page's first write inside the span,
+  i.e. the unique pages to dirty-mark.
+* ``switch_col``/``write_col`` — the same switches and writes as dense
+  page columns of the fused engine's ``[page-column, cell]`` matrices.
 
-* ``switch_pos``/``switch_page``/``switch_next`` — the position and
-  page of every page switch, plus the position of the *next* switch to
-  the same page.  Any cell's span ``[i, j)`` recovers its
-  replacement-policy touch sequence (each switched page's **last**
-  switch, in ascending order — exactly the fast engine's dedup order)
-  with two ``searchsorted`` probes and one vectorized compare
-  ``switch_next >= j``, instead of a per-span sort.
-* ``write_pos``/``write_page``/``write_prev`` — the same structure for
-  write runs: ``write_prev < i`` selects each page's first write inside
-  the span, i.e. the unique pages to dirty-mark.
-* a per-``event_ms`` cache of the ``count * event_ms`` products the
-  clock accumulates over (cells of a grid share one event cost).
-
-:func:`simulate_cells` then drives N configurations over one trace:
-each cell's substrate is built by the standard
-:meth:`~repro.sim.simulator.Simulator._prepare` (same objects, same
-reset order as a standalone run), the spans between a cell's
-interesting events advance through the shared scan, and only the event
-slices a cell finds interesting — faults, stalls, folds — take the
-scalar reference path.  Per-cell residency stays in the simulator's
-frame table with its valid-subpage bitmasks, so the scalar path is
-*identical* code to the reference loop's.
+:func:`simulate_cells` then drives N configurations over one trace in
+a single pass (:func:`drive_fused`): each cell's substrate is built by
+the standard :meth:`~repro.sim.simulator.Simulator._prepare` (same
+objects, same reset order as a standalone run), the spans between
+interesting events advance every cell at once through the shared scan,
+and only the cells that find an event interesting — faults, stalls,
+folds — take the scalar reference path.  Per-cell residency stays in
+the simulator's frame table with its valid-subpage bitmasks, so the
+scalar path is *identical* code to the reference loop's.
 
 Bit-exactness: the clock chain is the same left-to-right float64
-``np.add.accumulate`` the fast engine uses, the touch order is the same
+addition chain the reference loop performs, the touch order is the same
 ascending last-switch order, and dirty marking is an idempotent flag —
 ``tests/sim/test_engine_equivalence.py`` asserts equal
 :class:`~repro.sim.results.SimulationResult` objects against both the
@@ -63,13 +55,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import (
-    BAIL_MIN_SPAN,
-    BAIL_WINDOW,
-    SHORT_SPAN,
-    span_clock,
-)
-from repro.sim.kernels import accumulate_lanes, kernel_name
+from repro.sim.engine import BAIL_MIN_SPAN, BAIL_WINDOW
+from repro.sim.kernels import accumulate_lanes
 from repro.sim.simulator import Simulator
 from repro.sim.soa import (
     FusedClock,
@@ -102,11 +89,9 @@ class TraceScan:
 
     __slots__ = (
         "switch_pos",
-        "switch_page",
         "switch_next",
         "switch_col",
         "write_pos",
-        "write_page",
         "write_prev",
         "write_col",
         "page_ids",
@@ -124,29 +109,29 @@ class TraceScan:
         self.switch_pos = np.flatnonzero(cols.switch_arr).astype(
             idx, copy=False
         )
-        self.switch_page = pages_arr[self.switch_pos]
+        switch_page = pages_arr[self.switch_pos]
         # switch_next[s]: run index of the next switch to the same page
         # strictly after switch s; n when there is none.  One stable
         # argsort groups switches by page while keeping each group in
         # ascending position order, so "next of same page" is just the
         # following entry of the group.
         self.switch_next = np.full(len(self.switch_pos), n, dtype=idx)
-        order = np.argsort(self.switch_page, kind="stable")
+        order = np.argsort(switch_page, kind="stable")
         pos_sorted = self.switch_pos[order]
-        page_sorted = self.switch_page[order]
+        page_sorted = switch_page[order]
         same = page_sorted[1:] == page_sorted[:-1]
         self.switch_next[order[:-1][same]] = pos_sorted[1:][same]
 
         self.write_pos = np.flatnonzero(cols.writes_arr).astype(
             idx, copy=False
         )
-        self.write_page = pages_arr[self.write_pos]
+        write_page = pages_arr[self.write_pos]
         # write_prev[w]: run index of the previous write run to the same
         # page; -1 when there is none.
         self.write_prev = np.full(len(self.write_pos), -1, dtype=idx)
-        order = np.argsort(self.write_page, kind="stable")
+        order = np.argsort(write_page, kind="stable")
         pos_sorted = self.write_pos[order]
-        page_sorted = self.write_page[order]
+        page_sorted = write_page[order]
         same = page_sorted[1:] == page_sorted[:-1]
         self.write_prev[order[1:][same]] = pos_sorted[:-1][same]
 
@@ -158,22 +143,11 @@ class TraceScan:
             page: col for col, page in enumerate(self.page_ids_list)
         }
         self.switch_col = np.searchsorted(
-            self.page_ids, self.switch_page
+            self.page_ids, switch_page
         ).astype(np.int32, copy=False)
         self.write_col = np.searchsorted(
-            self.page_ids, self.write_page
+            self.page_ids, write_page
         ).astype(np.int32, copy=False)
-
-    def prods(self, cols: "TraceColumns", event_ms: float) -> np.ndarray:
-        """The per-run clock products at ``event_ms``, computed once.
-
-        Delegates to the columns' own cache
-        (:meth:`~repro.trace.compress.TraceColumns.prods`), which every
-        engine — fast, batch, fused — now shares, so a grid computes
-        each product vector once per (trace, event_ms) rather than once
-        per cell.
-        """
-        return cols.prods(event_ms)
 
 
 def trace_scan(trace: "RunTrace", cols: "TraceColumns") -> TraceScan:
@@ -208,186 +182,13 @@ def batch_eligible(config: SimulationConfig) -> bool:
     )
 
 
-def drive_batch(
-    sim: Simulator,
-    state: "_RunState",
-    trace: "RunTrace",
-    cols: "TraceColumns",
-    scan: TraceScan,
-) -> float:
-    """Drive one cell over the shared scan; returns the final clock.
-
-    The structure mirrors :func:`repro.sim.engine.drive_fast` — the
-    same interesting-event heap, the same scalar event handling, the
-    same thrash bail-out to the reference loop — but every bulk span
-    recovers its touch and dirty sets from the shared
-    :class:`TraceScan` instead of sorting its own slice.  The caller
-    (:func:`simulate_cells`) guarantees :func:`batch_eligible`, so
-    there is no TLB, instrument, PALcode, or adaptive controller.
-    """
-    policy = state.policy
-    frames = state.frames
-    event_ms = state.event_ms
-    full_mask = state.full_mask
-
-    pages_l = cols.pages
-    subpages_l = cols.subpages
-    blocks_l = cols.blocks
-    counts_l = cols.counts
-    writes_l = cols.writes
-    switch_pos = scan.switch_pos
-    switch_page = scan.switch_page
-    switch_next = scan.switch_next
-    write_pos = scan.write_pos
-    write_page = scan.write_page
-    write_prev = scan.write_prev
-    prods = scan.prods(cols, event_ms)
-    searchsorted = np.searchsorted
-    # Probe keys must carry the positions arrays' own (narrow) dtype:
-    # searchsorted with a wider scalar re-casts the whole array per call.
-    run_t = switch_pos.dtype.type
-    n = len(pages_l)
-
-    occ = trace.occurrences()
-    optr = dict.fromkeys(occ, 0)
-
-    heap = [(indices[0], page) for page, indices in occ.items()]
-    heapify(heap)
-    in_heap = set(occ)
-
-    clock = 0.0
-    last_page = -1
-    pos = 0
-    win_events = 0
-    win_start = 0
-
-    def push(page: int, frm: int) -> None:
-        """Schedule ``page``'s next occurrence at/after ``frm``."""
-        if page in in_heap:
-            return
-        indices = occ[page]
-        i = optr[page]
-        end = len(indices)
-        while i < end and indices[i] < frm:
-            i += 1
-        optr[page] = i
-        if i < end:
-            heappush(heap, (indices[i], page))
-            in_heap.add(page)
-
-    def advance(i: int, j: int) -> None:
-        """Bulk-process the boring span ``[i, j)`` (hits only)."""
-        nonlocal clock, last_page
-        if i >= j:
-            return
-        if j - i < SHORT_SPAN:
-            for k in range(i, j):
-                p = pages_l[k]
-                if p != last_page:
-                    policy.touch(p)
-                    last_page = p
-                if writes_l[k]:
-                    f = frames[p]
-                    if not f.dirty:
-                        f.dirty = True
-                clock += counts_l[k] * event_ms
-            return
-        ri, rj = run_t(i), run_t(j)
-        lo = searchsorted(switch_pos, ri)
-        hi = searchsorted(switch_pos, rj)
-        if hi > lo:
-            if hi - lo == 1:
-                p = pages_l[j - 1]
-                policy.touch(p)
-                last_page = p
-            else:
-                # Each switched page's last switch inside the span, in
-                # ascending position order — the same dedup sequence
-                # drive_fast extracts with np.unique/argsort per span.
-                keep = switch_next[lo:hi] >= rj
-                for p in switch_page[lo:hi][keep].tolist():
-                    policy.touch(p)
-                last_page = pages_l[j - 1]
-        wlo = searchsorted(write_pos, ri)
-        whi = searchsorted(write_pos, rj)
-        if whi > wlo:
-            # Each page's first write inside the span = the span's
-            # unique written pages (dirty marking is idempotent).
-            keep = write_prev[wlo:whi] < i
-            for p in write_page[wlo:whi][keep].tolist():
-                f = frames[p]
-                if not f.dirty:
-                    f.dirty = True
-        clock = span_clock(prods, i, j, clock)
-
-    while heap:
-        idx, page = heappop(heap)
-        in_heap.discard(page)
-        frame = frames.get(page)
-        interesting = (
-            frame is None
-            or frame.pending is not None
-            or frame.valid_bits != full_mask
-        )
-        if idx < pos:
-            if interesting:
-                push(page, pos)
-            continue
-        if not interesting:
-            continue
-
-        if pos < idx:
-            advance(pos, idx)
-
-        sp = subpages_l[idx]
-        count = counts_l[idx]
-        write = writes_l[idx]
-        if frame is None:
-            state.last_victim = None
-            clock = sim._page_fault(
-                state, clock, page, sp, blocks_l[idx], write
-            )
-            frame = frames[page]
-            last_page = page
-            if state.last_victim is not None:
-                push(state.last_victim, idx)
-        else:
-            if page != last_page:
-                policy.touch(page)
-                last_page = page
-            if frame.pending is not None or frame.valid_bits != full_mask:
-                clock = sim._touch_incomplete(
-                    state, clock, page, frame, sp, blocks_l[idx],
-                    write, count,
-                )
-            if write and not frame.dirty:
-                frame.dirty = True
-        clock += count * event_ms
-        pos = idx + 1
-        if frame.pending is not None or frame.valid_bits != full_mask:
-            push(page, pos)
-
-        win_events += 1
-        if win_events == BAIL_WINDOW:
-            if pos - win_start < BAIL_WINDOW * BAIL_MIN_SPAN:
-                return sim._drive_reference(
-                    state, cols, start=pos, clock=clock,
-                    last_page=last_page,
-                )
-            win_events = 0
-            win_start = pos
-
-    advance(pos, n)
-    return clock
-
-
 class FusedProfile:
     """Per-stage accounting of one :func:`drive_fused` pass.
 
     Filled only when explicitly requested (``tools/bench_throughput.py
     --profile``; the timing calls would otherwise tax the hot loop), so
     regressions are attributable: scan/setup cost, bulk span share,
-    scalar fault-fallback share, and which kernel tier ran.
+    and scalar fault-fallback share.
     """
 
     __slots__ = (
@@ -398,7 +199,6 @@ class FusedProfile:
         "bulk_s",
         "scalar_s",
         "bailed",
-        "kernel",
     )
 
     def __init__(self) -> None:
@@ -409,7 +209,6 @@ class FusedProfile:
         self.bulk_s = 0.0       #: seconds in vectorized span advances
         self.scalar_s = 0.0     #: seconds in scalar event handling
         self.bailed: list[int] = []  #: cell indices that thrash-bailed
-        self.kernel = ""        #: resolved clock-kernel tier
 
 
 def drive_fused(
@@ -421,8 +220,8 @@ def drive_fused(
     """Drive N cells through ONE pass over the shared event heap.
 
     Returns each cell's final clock, positionally parallel to
-    ``cells``.  Where :func:`drive_batch` walks the heap once *per
-    cell*, this walks it once for the whole batch:
+    ``cells``.  Where :func:`~repro.sim.engine.drive_fast` walks a
+    heap once *per cell*, this walks it once for the whole batch:
 
     * The heap holds one entry per page that is interesting — faulting,
       pending, or incomplete — for **any** active cell, at its next
@@ -431,7 +230,7 @@ def drive_fused(
       all of them with one set of vectorized updates: LRU stamps and
       Clock reference bits land in ``[page-column, cell]`` matrices
       (:mod:`repro.sim.soa`), dirty marks in a shared overlay, and the
-      clocks through the selected multi-lane prefix-sum kernel
+      clocks through the multi-lane prefix-sum kernel
       (:mod:`repro.sim.kernels`).
     * At each popped event only the subset of cells for which the page
       is actually interesting drops to the existing scalar handling —
@@ -439,7 +238,7 @@ def drive_fused(
       each cell's own state.  Cells that hold the page resident and
       complete take the vectorized hit path.
 
-    Bit-identity with per-cell :func:`drive_batch`/``drive_fast``:
+    Bit-identity with per-cell ``drive_fast``:
 
     * A cell's event sequence is unchanged.  The fused heap's entries
       are a superset of any one cell's, so every run one cell finds
@@ -483,8 +282,8 @@ def drive_fused(
     col_of = scan.col_of
     n_pages = len(page_ids_list)
     searchsorted = np.searchsorted
-    # See drive_batch: probe with the positions arrays' own dtype, or
-    # every searchsorted re-casts the whole (int32) array to int64.
+    # Probe with the positions arrays' own dtype, or every
+    # searchsorted re-casts the whole (int32) array to int64.
     run_t = switch_pos.dtype.type
     ix_ = np.ix_
     flatnonzero = np.flatnonzero
@@ -566,7 +365,6 @@ def drive_fused(
     rebuild_rows()
     if profile is not None:
         profile.cells = n_cells
-        profile.kernel = kernel_name()
 
     occ = trace.occurrences()
     optr = dict.fromkeys(occ, 0)
@@ -608,7 +406,7 @@ def drive_fused(
             if hi - lo > 1:
                 # Each switched page's last switch inside the span, in
                 # ascending position order — the same dedup sequence
-                # drive_fast/drive_batch replay per cell.
+                # drive_fast replays per cell.
                 tcols = tcols[switch_next[lo:hi] >= rj]
             count = len(tcols)
             base = ctr.value
@@ -813,20 +611,11 @@ def simulate_cells_timed(
                 result, spent + share + time.perf_counter() - started
             )
 
-    scan_legacy: TraceScan | None = None
     for k, config in enumerate(configs):
         if out[k] is not None:
             continue
         started = time.perf_counter()
-        sim = Simulator(config)
-        if batch_eligible(config):
-            state, cols, recorder = sim._prepare(trace)
-            if scan_legacy is None:
-                scan_legacy = trace_scan(trace, cols)
-            clock = drive_batch(sim, state, trace, cols, scan_legacy)
-            result = sim._finish(state, clock, recorder)
-        else:
-            result = sim.run(trace)
+        result = Simulator(config).run(trace)
         out[k] = (result, time.perf_counter() - started)
     return out  # type: ignore[return-value]
 
@@ -841,11 +630,9 @@ def simulate_cells(
 
     Results are positionally parallel to ``configs`` and bit-identical
     to ``[simulate(trace, c) for c in configs]``.  Eligible cells run
-    the fused multi-cell pass (:func:`drive_fused`; ``fused=False``
-    keeps them on the per-cell :func:`drive_batch` loop, mainly for
-    benchmarking the fusion win); cells failing :func:`batch_eligible`
-    transparently take the ordinary :func:`~repro.sim.simulator.
-    simulate` path.
+    the fused multi-cell pass (:func:`drive_fused`); cells failing
+    :func:`batch_eligible` — and every cell under ``fused=False`` —
+    take the ordinary :func:`~repro.sim.simulator.simulate` path.
     """
     return [
         result

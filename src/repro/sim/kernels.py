@@ -1,49 +1,28 @@
-"""Compiled-tier clock kernels for the fused batch engine.
+"""The fused batch engine's multi-lane clock kernel.
 
 The fused engine (:func:`repro.sim.batch.drive_fused`) advances the
 clocks of N cells over every boring span with the same left-to-right
 float64 addition chain the reference loop performs per cell.  That
 multi-lane prefix sum is the one genuinely compute-bound piece of the
-fused loop, so it gets a swappable kernel:
-
-* ``numpy`` (the default, always available) — a chunked 2-D
-  ``np.add.accumulate`` along the span axis, one independent lane per
-  cell, seeded per lane so every lane's chain is bit-identical to its
-  scalar equivalent.
-* ``numba`` — the same loop JIT-compiled, selected only when numba is
-  importable **and** its output passes a bitwise identical-output gate
-  against the numpy tier on a deterministic probe.  A missing numba or
-  a failed gate degrades to numpy with an
-  :class:`~repro.envknobs.EnvKnobWarning`; the compiled path can never
-  silently diverge.
-
-Selection is driven by the ``REPRO_FUSED_KERNEL`` environment knob
-(``numpy`` | ``numba`` | ``auto``; default ``auto`` = numba when it
-passes the gate, else numpy) and resolved once per process on first
-use.
+fused loop: :func:`accumulate_lanes` runs it as a chunked 2-D
+``np.add.accumulate`` along the span axis, one independent lane per
+cell, seeded per lane so every lane's chain is bit-identical to its
+scalar equivalent.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable
-
 import numpy as np
 
-from repro.envknobs import EnvKnobWarning, env_str
-
 __all__ = [
-    "ENV_FUSED_KERNEL",
     "accumulate_lanes",
     "kernel_name",
 ]
 
-ENV_FUSED_KERNEL = "REPRO_FUSED_KERNEL"
-
-#: Span-axis chunk cap for the numpy tier.  The multi-lane chunk is
-#: sized from :data:`_SCRATCH_DOUBLES` instead; this cap bounds the
-#: chunk for very small lane counts and names the "spans longer than
-#: this are split" contract the tests exercise.
+#: Span-axis chunk cap.  The multi-lane chunk is sized from
+#: :data:`_SCRATCH_DOUBLES` instead; this cap bounds the chunk for very
+#: small lane counts and names the "spans longer than this are split"
+#: contract the tests exercise.
 _CHUNK = 65536
 
 #: Target size (in float64 slots) of the multi-lane scratch buffer:
@@ -59,10 +38,8 @@ _SCRATCH_DOUBLES = 24576
 #: from row 0 on every call, and never aliased by a return value.
 _scratch: dict[int, np.ndarray] = {}
 
-Kernel = Callable[[np.ndarray, int, int, np.ndarray], np.ndarray]
 
-
-def _accumulate_numpy(
+def accumulate_lanes(
     prods: np.ndarray, i: int, j: int, seeds: np.ndarray
 ) -> np.ndarray:
     """Per-lane seeded prefix sum over ``prods[i:j]``; returns each
@@ -113,101 +90,6 @@ def _accumulate_numpy(
     return out
 
 
-def _build_numba() -> Kernel | None:
-    """The numba tier, or ``None`` when numba is not importable."""
-    try:  # pragma: no cover - exercised only where numba is installed
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=False)  # pragma: no cover - numba-only environments
-    def _accumulate_numba(prods, i, j, seeds):
-        out = seeds.copy()
-        lanes = out.shape[0]
-        for k in range(i, j):
-            p = prods[k]
-            for r in range(lanes):
-                out[r] = out[r] + p
-        return out
-
-    return _accumulate_numba
-
-
-def _gate(candidate: Kernel) -> bool:
-    """Bitwise identical-output gate for a non-default kernel tier.
-
-    Probes the candidate against the numpy tier on a deterministic
-    vector crafted to expose rounding divergence (magnitudes spanning
-    ~12 decades, mixed signs, a multi-chunk length): any reassociated
-    or fused-multiply variant of the chain differs bitwise somewhere in
-    this probe.
-    """
-    rng = np.random.default_rng(0xF05ED)
-    n = _CHUNK + 1031
-    prods = rng.uniform(1e-6, 1e6, n) * np.where(rng.random(n) < 0.1, -1, 1)
-    seeds = rng.uniform(0.0, 1e9, 5)
-    try:
-        got = candidate(prods, 17, n - 3, seeds.copy())
-    except Exception:
-        return False
-    want = _accumulate_numpy(prods, 17, n - 3, seeds.copy())
-    return bool(np.array_equal(got, want))
-
-
-def _select(name: str | None) -> tuple[Kernel, str]:
-    """Resolve a kernel tier by knob value (pure; see module cache)."""
-    choice = (name or "auto").lower()
-    if choice not in ("numpy", "numba", "auto"):
-        warnings.warn(
-            f"{ENV_FUSED_KERNEL}={choice!r} is not a known kernel tier "
-            "(numpy, numba, auto); using numpy",
-            EnvKnobWarning,
-            stacklevel=3,
-        )
-        return _accumulate_numpy, "numpy"
-    if choice == "numpy":
-        return _accumulate_numpy, "numpy"
-    candidate = _build_numba()
-    if candidate is None:
-        if choice == "numba":
-            warnings.warn(
-                f"{ENV_FUSED_KERNEL}=numba but numba is not importable; "
-                "using numpy",
-                EnvKnobWarning,
-                stacklevel=3,
-            )
-        return _accumulate_numpy, "numpy"
-    if not _gate(candidate):  # pragma: no cover - needs numba
-        warnings.warn(
-            "numba fused kernel failed the identical-output gate; "
-            "using numpy",
-            EnvKnobWarning,
-            stacklevel=3,
-        )
-        return _accumulate_numpy, "numpy"
-    return candidate, "numba"  # pragma: no cover - needs numba
-
-
-_selected: tuple[Kernel, str] | None = None
-
-
-def _resolve() -> tuple[Kernel, str]:
-    global _selected
-    if _selected is None:
-        _selected = _select(env_str(ENV_FUSED_KERNEL))
-    return _selected
-
-
-def accumulate_lanes(
-    prods: np.ndarray, i: int, j: int, seeds: np.ndarray
-) -> np.ndarray:
-    """Advance each lane's clock over ``prods[i:j]`` with the selected
-    kernel tier (resolved once per process from ``REPRO_FUSED_KERNEL``).
-    """
-    kernel, _ = _resolve()
-    return kernel(prods, i, j, seeds)
-
-
 def kernel_name() -> str:
-    """The resolved kernel tier's name (``"numpy"`` or ``"numba"``)."""
-    return _resolve()[1]
+    """The clock kernel's name, as recorded in benchmark environments."""
+    return "numpy"

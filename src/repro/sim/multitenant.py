@@ -11,10 +11,11 @@ with a virtual-time interleaved scheduler:
   :class:`~repro.gms.cluster.Cluster` built by
   :func:`~repro.sim.multinode.build_shared_cluster`;
 * a min-heap keyed on ``(virtual clock, tenant index)`` always advances
-  the tenant that is earliest in virtual time, one compressed trace run
-  at a time (:meth:`Simulator._step_runs`), so getpage/putpage traffic
-  from different tenants hits the cluster in global time order and page
-  ages are cross-tenant comparable;
+  the tenant that is earliest in virtual time, through the reference
+  loop bounded by the next tenant's heap entry
+  (:meth:`Simulator._drive_reference` with ``until``), so
+  getpage/putpage traffic from different tenants hits the cluster in
+  global time order and page ages are cross-tenant comparable;
 * an optional :class:`~repro.net.congestion.CrossTraffic` fabric couples
   the tenants' links, so one tenant's subpage pipeline queues behind
   another's demand transfers (with per-tenant attribution).
@@ -30,6 +31,7 @@ to exactly the sequential path (the regression anchor asserted in
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -103,7 +105,6 @@ def run_multi_tenant(
     fabric = CrossTraffic() if cross_traffic else None
 
     sims = []
-    steppers = []
     for node_id, workload in enumerate(workloads):
         config = workload_config(workload, node_id, seed=seed)
         simulator = Simulator(
@@ -113,25 +114,33 @@ def run_multi_tenant(
             link_label=workload.name,
         )
         state, cols, recorder = simulator._prepare(workload.trace)
-        sims.append((workload, simulator, state, recorder))
-        steppers.append(simulator._step_runs(state, cols))
+        sims.append((workload, simulator, state, cols, recorder))
 
     # Virtual-time scheduling: always advance the tenant whose clock is
-    # smallest (ties broken by tenant index, i.e. workload order).
+    # smallest (ties broken by tenant index, i.e. workload order), and
+    # keep it running until its clock passes the next heap entry
+    # (c, j): clock >= c when i > j, clock > c when i < j.  Tenants thus
+    # reach the shared cluster in exact per-run (clock, index) order.
     final_clock = [0.0] * len(sims)
     heap = [(0.0, i) for i in range(len(sims))]
     heapq.heapify(heap)
     while heap:
         clock, i = heapq.heappop(heap)
-        try:
-            advanced = next(steppers[i])
-        except StopIteration:
+        until = math.inf
+        if heap:
+            c, j = heap[0]
+            until = c if i > j else math.nextafter(c, math.inf)
+        _, simulator, state, cols, _ = sims[i]
+        clock = simulator._drive_reference(
+            state, cols, clock=clock, until=until
+        )
+        if state.cursor is None:
             final_clock[i] = clock
-            continue
-        heapq.heappush(heap, (advanced, i))
+        else:
+            heapq.heappush(heap, (clock, i))
 
     result = MultiTenantResult()
-    for i, (workload, simulator, state, recorder) in enumerate(sims):
+    for i, (workload, simulator, state, _, recorder) in enumerate(sims):
         result.per_tenant[workload.name] = simulator._finish(
             state, final_clock[i], recorder
         )

@@ -15,9 +15,10 @@ data *more* valid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.fault import FaultKind, FaultRecord
 from repro.core.plans import FaultContext
@@ -261,14 +262,22 @@ class Simulator:
         start: int = 0,
         clock: float = 0.0,
         last_page: int = -1,
+        until: float = math.inf,
     ) -> float:
         """The per-run reference loop; handles every configuration.
 
-        ``start``/``clock``/``last_page`` let the fast engine hand a
-        partially-driven run over mid-trace (its bail-out path): the
+        ``start``/``clock``/``last_page`` let the fast engines hand a
+        partially-driven run over mid-trace (their bail-out path): the
         shared ``state`` is exactly what this loop would have produced,
         so resuming at run ``start`` is bit-identical to having driven
         the whole trace here.
+
+        ``until`` bounds the drive for the multi-tenant scheduler
+        (:mod:`repro.sim.multitenant`): the loop stops after the first
+        run that brings the clock to ``until`` or past it and parks its
+        position in ``state.cursor``.  The next call on the same
+        ``state``, passed the returned clock, resumes there in O(1).
+        ``state.cursor`` is ``None`` once the trace is exhausted.
         """
         cfg = self.config
         frames = state.frames
@@ -285,12 +294,16 @@ class Simulator:
             and state.adaptive.needs_reference_events
         )
 
-        runs = zip(
-            cols.pages, cols.subpages, cols.blocks, cols.counts,
-            cols.writes,
-        )
-        if start:
-            runs = islice(runs, start, None)
+        runs = state.cursor
+        if runs is None:
+            runs = zip(
+                cols.pages, cols.subpages, cols.blocks, cols.counts,
+                cols.writes,
+            )
+            if start:
+                runs = islice(runs, start, None)
+        else:
+            last_page = state.last_page
         for page, sp, block, count, write in runs:
             frame = frames.get(page)
             if frame is None:
@@ -330,86 +343,12 @@ class Simulator:
                 if write and not frame.dirty:
                     frame.dirty = True
             clock += count * event_ms
+            if clock >= until:
+                state.cursor = runs
+                state.last_page = last_page
+                return clock
+        state.cursor = None
         return clock
-
-    def _step_runs(
-        self,
-        state: "_RunState",
-        cols,
-        start: int = 0,
-        clock: float = 0.0,
-        last_page: int = -1,
-    ):
-        """Generator twin of :meth:`_drive_reference`: yields the clock
-        after every compressed run.
-
-        The multi-tenant scheduler (:mod:`repro.sim.multitenant`)
-        advances N tenants in virtual-time order, which needs a
-        resumable per-run step.  The loop body is kept a line-for-line
-        mirror of :meth:`_drive_reference` rather than having the
-        reference loop drain this generator: the reference loop is on
-        the <5% disabled-instrumentation CI budget, and a per-run yield
-        costs more than that gate's remaining headroom.  Bit-identity
-        between the two is enforced by the one-tenant anchor test
-        (``tests/sim/test_multitenant.py``).
-        """
-        cfg = self.config
-        frames = state.frames
-        policy = state.policy
-        tlb = state.tlb
-        pal = state.pal
-        event_ms = state.event_ms
-        full_mask = state.full_mask
-        result = state.result
-
-        track_dist = cfg.track_distances
-        feed_hits = (
-            state.adaptive is not None
-            and state.adaptive.needs_reference_events
-        )
-
-        runs = zip(
-            cols.pages, cols.subpages, cols.blocks, cols.counts,
-            cols.writes,
-        )
-        if start:
-            runs = islice(runs, start, None)
-        for page, sp, block, count, write in runs:
-            frame = frames.get(page)
-            if frame is None:
-                clock = self._page_fault(
-                    state, clock, page, sp, block, write
-                )
-                frame = frames[page]
-                last_page = page
-                if tlb is not None and not tlb.access(page):
-                    clock += tlb.miss_ms
-                if pal is not None and frame.pending is not None:
-                    self._charge_emulation(
-                        state, clock, page, frame, count, write
-                    )
-            else:
-                if page != last_page:
-                    policy.touch(page)
-                    last_page = page
-                    if tlb is not None and not tlb.access(page):
-                        clock += tlb.miss_ms
-                if track_dist and frame.distance_from is not None:
-                    if sp != frame.distance_from:
-                        distance = sp - frame.distance_from
-                        hist = result.distance_histogram
-                        hist[distance] = hist.get(distance, 0) + 1
-                        frame.distance_from = None
-                if frame.pending is not None or frame.valid_bits != full_mask:
-                    clock = self._touch_incomplete(
-                        state, clock, page, frame, sp, block, write, count
-                    )
-                elif feed_hits:
-                    state.adaptive.observe(page, sp, "hit")
-                if write and not frame.dirty:
-                    frame.dirty = True
-            clock += count * event_ms
-            yield clock
 
     # -- fault handling ------------------------------------------------------
 
@@ -871,6 +810,12 @@ class _RunState:
     #: engine reads it after a fault to re-enter the page in its
     #: interesting-event heap.
     last_victim: int | None = None
+    #: Where a bounded ``_drive_reference(until=...)`` stopped: the
+    #: iterator over the runs not yet driven and the page of the last
+    #: run driven.  ``None`` before the first drive and once the trace
+    #: is exhausted.
+    cursor: Iterator | None = None
+    last_page: int = -1
 
     @property
     def stalls(self) -> list[tuple[float, float]]:

@@ -95,7 +95,7 @@ class TestTraceScan:
         scan, cols = scan_and_cols
         n = len(cols.pages)
         pos = scan.switch_pos.tolist()
-        pages = scan.switch_page.tolist()
+        pages = cols.pages_arr[scan.switch_pos].tolist()
         nxt = scan.switch_next.tolist()
         by_page: dict[int, list[int]] = {}
         for p, page in zip(pos, pages):
@@ -107,7 +107,7 @@ class TestTraceScan:
     def test_write_prev_is_previous_same_page_write(self, scan_and_cols):
         scan, cols = scan_and_cols
         pos = scan.write_pos.tolist()
-        pages = scan.write_page.tolist()
+        pages = cols.pages_arr[scan.write_pos].tolist()
         prv = scan.write_prev.tolist()
         by_page: dict[int, list[int]] = {}
         for p, page in zip(pos, pages):
@@ -129,7 +129,7 @@ class TestTraceScan:
             j = int(rng.integers(i + 1, n + 1))
             lo, hi = np.searchsorted(scan.switch_pos, (i, j))
             keep = scan.switch_next[lo:hi] >= j
-            got = scan.switch_page[lo:hi][keep].tolist()
+            got = cols.pages_arr[scan.switch_pos[lo:hi][keep]].tolist()
             last: dict[int, int] = {}
             for k in range(i, j):
                 if cols.switch_arr[k]:
@@ -150,7 +150,7 @@ class TestTraceScan:
             j = int(rng.integers(i + 1, n + 1))
             wlo, whi = np.searchsorted(scan.write_pos, (i, j))
             keep = scan.write_prev[wlo:whi] < i
-            got = scan.write_page[wlo:whi][keep].tolist()
+            got = cols.pages_arr[scan.write_pos[wlo:whi][keep]].tolist()
             seen: dict[int, None] = {}
             for k in range(i, j):
                 if writes[k]:
@@ -159,12 +159,13 @@ class TestTraceScan:
             assert len(got) == len(set(got))
 
     def test_prods_cached_per_event_ms(self, trace):
+        """The clock products every engine accumulates over are cached
+        on the columns, once per ``event_ms``."""
         cols = trace.columns(1024)
-        scan = trace_scan(trace, cols)
-        first = scan.prods(cols, 0.5)
-        assert scan.prods(cols, 0.5) is first
+        first = cols.prods(0.5)
+        assert cols.prods(0.5) is first
         assert np.array_equal(first, cols.counts_f64 * 0.5)
-        assert scan.prods(cols, 0.25) is not first
+        assert cols.prods(0.25) is not first
 
     def test_scan_arrays_use_narrow_index_dtype(self, scan_and_cols):
         """Derived scan/column caches downsize to int32 whenever the
@@ -193,10 +194,10 @@ class TestTraceScan:
         assert scan.col_of == {
             page: k for k, page in enumerate(scan.page_ids_list)
         }
-        assert scan.switch_page.tolist() == [
+        assert cols.pages_arr[scan.switch_pos].tolist() == [
             scan.page_ids_list[c] for c in scan.switch_col.tolist()
         ]
-        assert scan.write_page.tolist() == [
+        assert cols.pages_arr[scan.write_pos].tolist() == [
             scan.page_ids_list[c] for c in scan.write_col.tolist()
         ]
 
@@ -450,17 +451,11 @@ class TestFusedEngine:
         profile = FusedProfile()
         simulate_cells_timed(trace, configs, profile=profile)
         assert profile.cells == len(configs)
-        assert profile.kernel in ("numpy", "numba")
         assert profile.events > 0
         assert profile.scalar_events >= profile.events
         assert profile.spans > 0
         assert profile.bulk_s > 0.0
         assert profile.scalar_s > 0.0
-
-    def test_fused_false_keeps_per_cell_batch_path(self, trace):
-        configs = [j.config for j in make_jobs(trace, sizes=(512, 4096))]
-        assert simulate_cells(trace, configs, fused=False) == \
-            simulate_cells(trace, configs)
 
 
 class TestSimulateCellsApi:

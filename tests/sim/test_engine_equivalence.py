@@ -209,8 +209,7 @@ class TestBatchEquivalence:
     every cell must equal the fast *and* reference engines with ``==``
     — the full :class:`~repro.sim.results.SimulationResult`, its
     ``summary()`` dict, and its link statistics, to the last float
-    bit.  ``fused=False`` keeps the per-cell ``drive_batch`` loop
-    covered against the same bar.
+    bit.
     """
 
     def test_full_matrix_bit_identical(self, mixed_trace):
@@ -227,13 +226,32 @@ class TestBatchEquivalence:
             assert got.summary() == ref.summary()
             assert got.link_stats == ref.link_stats
 
-    def test_legacy_batch_path_matches_fused(self, mixed_trace):
-        """The pre-fusion per-cell ``drive_batch`` loop stays alive
-        behind ``fused=False`` and must agree on every matrix cell."""
-        configs = matrix_configs(mixed_trace)
-        fused = simulate_cells(mixed_trace, configs)
-        legacy = simulate_cells(mixed_trace, configs, fused=False)
-        assert fused == legacy
+    @pytest.mark.parametrize("app", ["graph", "websess"])
+    def test_fault_dense_modern_family(self, app):
+        """A fault-dense modern workload at half memory on figZOO's
+        {eager, pipelined} x {4096, 1024, 256} grid: eviction and the
+        scalar fault path dominate the fused pass (graph evicts about
+        ten thousand pages here)."""
+        trace = build_app_trace(app, scale=0.1)
+        configs = [
+            SimulationConfig(
+                memory_pages=memory_pages_for(trace, 0.5),
+                scheme=scheme,
+                subpage_bytes=subpage,
+                engine="fast",
+                track_distances=False,
+            )
+            for scheme in ("eager", "pipelined")
+            for subpage in (4096, 1024, 256)
+        ]
+        assert all(batch_eligible(c) for c in configs)
+        batched = simulate_cells(trace, configs)
+        assert sum(r.evictions for r in batched) > 0
+        for config, got in zip(configs, batched):
+            fast = simulate(trace, config)
+            ref = simulate(trace, config.with_overrides(engine="reference"))
+            assert got == fast == ref
+            assert got.summary() == ref.summary()
 
     @pytest.mark.parametrize(
         "replacement", ["lru", "fifo", "clock", "random"]

@@ -1,27 +1,14 @@
-"""The fused engine's clock-kernel tiers: selection, gating, identity.
+"""The fused engine's clock kernel: bitwise identity per lane.
 
-The contract is that whatever tier ``REPRO_FUSED_KERNEL`` resolves to,
-``accumulate_lanes`` performs each lane's float64 addition chain in
-exactly the reference loop's order — the numpy tier by construction,
-any compiled tier because the identical-output gate refuses it
-otherwise.
+The contract is that ``accumulate_lanes`` performs each lane's float64
+addition chain in exactly the reference loop's order.
 """
 
 import numpy as np
-import pytest
 
-from repro.envknobs import EnvKnobWarning
 from repro.sim import kernels
 from repro.sim.engine import span_clock
-from repro.sim.kernels import _accumulate_numpy, _gate, _select
-
-
-def _numba_missing() -> bool:
-    try:  # pragma: no cover - environment probe
-        import numba  # noqa: F401
-    except ImportError:
-        return True
-    return False
+from repro.sim.kernels import accumulate_lanes
 
 
 class TestNumpyTier:
@@ -29,7 +16,7 @@ class TestNumpyTier:
         rng = np.random.default_rng(3)
         prods = rng.uniform(1e-3, 1e3, 5000)
         seeds = rng.uniform(0.0, 1e6, 7)
-        got = _accumulate_numpy(prods, 123, 4567, seeds.copy())
+        got = accumulate_lanes(prods, 123, 4567, seeds.copy())
         for lane, seed in enumerate(seeds):
             want = seed
             for k in range(123, 4567):
@@ -40,7 +27,7 @@ class TestNumpyTier:
         rng = np.random.default_rng(4)
         prods = rng.uniform(1e-3, 1e3, 1000)
         seeds = np.array([17.25])
-        got = _accumulate_numpy(prods, 0, 1000, seeds.copy())
+        got = accumulate_lanes(prods, 0, 1000, seeds.copy())
         assert got[0] == span_clock(prods, 0, 1000, 17.25)
 
     def test_chunk_boundaries_compose(self):
@@ -50,68 +37,12 @@ class TestNumpyTier:
         rng = np.random.default_rng(5)
         prods = rng.uniform(1e-6, 1e6, n)
         seeds = rng.uniform(0.0, 1e9, 3)
-        got = _accumulate_numpy(prods, 5, n - 5, seeds.copy())
+        got = accumulate_lanes(prods, 5, n - 5, seeds.copy())
         for lane, seed in enumerate(seeds):
             assert got[lane] == span_clock(prods, 5, n - 5, float(seed))
 
     def test_does_not_mutate_prods(self):
         prods = np.linspace(0.5, 1.5, 300)
         before = prods.copy()
-        _accumulate_numpy(prods, 0, 300, np.array([1.0, 2.0]))
+        accumulate_lanes(prods, 0, 300, np.array([1.0, 2.0]))
         assert np.array_equal(prods, before)
-
-
-class TestSelection:
-    def test_default_and_numpy_resolve_to_numpy(self):
-        for value in (None, "numpy", "NUMPY"):
-            fn, name = _select(value)
-            assert name == "numpy"
-            assert fn is _accumulate_numpy
-
-    def test_unknown_tier_warns_and_degrades(self):
-        with pytest.warns(EnvKnobWarning, match="not a known kernel"):
-            fn, name = _select("cuda")
-        assert (fn, name) == (_accumulate_numpy, "numpy")
-
-    @pytest.mark.skipif(
-        not _numba_missing(), reason="numba installed: tier available"
-    )
-    def test_numba_request_without_numba_warns(self):
-        with pytest.warns(EnvKnobWarning, match="not importable"):
-            fn, name = _select("numba")
-        assert (fn, name) == (_accumulate_numpy, "numpy")
-
-    @pytest.mark.skipif(
-        not _numba_missing(), reason="numba installed: tier available"
-    )
-    def test_auto_without_numba_degrades_silently(self):
-        fn, name = _select("auto")
-        assert (fn, name) == (_accumulate_numpy, "numpy")
-
-    def test_resolution_cached_per_process(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_selected", None)
-        monkeypatch.setenv(kernels.ENV_FUSED_KERNEL, "numpy")
-        assert kernels.kernel_name() == "numpy"
-        # A later env change is deliberately not observed.
-        monkeypatch.setenv(kernels.ENV_FUSED_KERNEL, "bogus")
-        assert kernels.kernel_name() == "numpy"
-
-
-class TestGate:
-    def test_accepts_bit_identical_candidate(self):
-        assert _gate(_accumulate_numpy)
-
-    def test_rejects_reassociated_chain(self):
-        # A pairwise/compensated summation is *more* accurate and still
-        # wrong for us: the gate must reject anything that is not the
-        # exact left-to-right chain.
-        def reassociated(prods, i, j, seeds):
-            return seeds + np.sum(prods[i:j])
-
-        assert not _gate(reassociated)
-
-    def test_rejects_crashing_candidate(self):
-        def broken(prods, i, j, seeds):
-            raise RuntimeError("kaboom")
-
-        assert not _gate(broken)

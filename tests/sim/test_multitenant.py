@@ -1,5 +1,8 @@
 """Interleaved multi-tenant scheduling against one shared cluster."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -120,3 +123,78 @@ class TestInterleaving:
             assert tenant.slowdown is not None
             assert tenant.slowdown >= 1.0
             assert tenant.p99_ms >= tenant.p50_ms
+
+
+def mixed_workload(name: str, seed: int, scheme: str, subpage_bytes: int,
+                   memory_pages: int,
+                   shared_from_page: int | None = None) -> NodeWorkload:
+    """Random page visits sweeping a few blocks each, 30% writes: faults,
+    subpage stalls, evictions and dirty write-backs all happen."""
+    rng = np.random.default_rng(seed)
+    visits = rng.integers(0, 24, size=300)
+    starts = rng.integers(0, 120, size=300)
+    blocks = (starts[:, None] + np.arange(5)) % 128
+    addrs = (visits[:, None] * 8192 + blocks * 64).ravel()
+    writes = rng.random(addrs.size) < 0.3
+    return NodeWorkload(
+        name, compress_references(addrs, writes, name=name),
+        memory_pages=memory_pages, scheme=scheme,
+        subpage_bytes=subpage_bytes, shared_from_page=shared_from_page,
+    )
+
+
+def result_digest(result) -> str:
+    """Digest of everything the interleaving order can move: every
+    tenant's ``summary()``, the shared cluster's statistics, and the
+    cross-traffic attribution in both directions."""
+    payload = {
+        "summary": {k: r.summary() for k, r in result.per_tenant.items()},
+        "cluster": result.cluster_stats,
+        "cross": result.cross_stats,
+        "injected": result.injected_ms,
+    }
+    data = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+TIE_TOTAL_MS_A = 29.402399999999993
+TIE_TOTAL_MS_B = 36.2104
+TIE_DIGEST = "3cb001810bffe9f5465f1bd9ddbba0f3"
+FOUR_FAULTS = {"w0": 154, "w1": 194, "w2": 99, "w3": 234}
+FOUR_DIGEST = "cbb4e83a702b90ee34dd4cff0be3b0e1"
+
+
+class TestPinnedInterleaving:
+    """Multi-tenant results pinned bit for bit.
+
+    The pinned values follow the per-run ``(clock, tenant index)``
+    order: any change to the order in which tenants reach the shared
+    cluster and fabric moves these digests.
+    """
+
+    def test_clock_ties_follow_tenant_order(self):
+        """Identical traces: the tenants' clocks tie step for step until
+        they diverge, so the tie-break alone decides which tenant
+        reaches the cluster first; tenant ``a`` wins every tie."""
+        result = run_multi_tenant([
+            busy_workload("a", "pipelined"),
+            busy_workload("b", "pipelined"),
+        ])
+        a, b = result.per_tenant["a"], result.per_tenant["b"]
+        assert a.total_ms == TIE_TOTAL_MS_A
+        assert b.total_ms == TIE_TOTAL_MS_B
+        assert result.cluster_stats["getpages"] == 48
+        assert result_digest(result) == TIE_DIGEST
+
+    def test_four_tenant_mix(self):
+        result = run_multi_tenant([
+            mixed_workload("w0", 1, "eager", 1024, 12),
+            mixed_workload("w1", 2, "pipelined", 512, 8),
+            mixed_workload("w2", 3, "lazy", 2048, 16, shared_from_page=20),
+            mixed_workload("w3", 4, "fullpage", 8192, 6,
+                           shared_from_page=20),
+        ])
+        assert {
+            name: r.page_faults for name, r in result.per_tenant.items()
+        } == FOUR_FAULTS
+        assert result_digest(result) == FOUR_DIGEST

@@ -13,17 +13,13 @@ Two measurements, one trajectory file:
   path (``REPRO_SHM=0``, transient pool) — and gates on the reduction
   in per-cell dispatch overhead (wall time beyond the ideal parallel
   compute time).
-* Batch: runs a Figure-9-style 24-cell grid (scheme x subpage size x
-  memory size, one shared trace) through the per-cell batched engine
-  (``simulate_cells(..., fused=False)``, the pre-fusion ``drive_batch``
-  loop) and through per-cell fast-engine dispatch, verifies the results
-  are identical, and gates on the batch path's wall-clock reduction.
-* Fused: runs the same grid through the fused struct-of-arrays pass
-  (``simulate_cells`` default: one ``drive_fused`` walk advancing all
-  cells together), verifies bit-identity against both other paths, and
-  gates on its speedup over the per-cell batch loop.  ``--profile``
-  additionally reports the per-stage split (scan build, bulk kernel
-  time, scalar fault-path time, active kernel tier, bail-outs).
+* Fused: runs a Figure-9-style 24-cell grid (scheme x subpage size x
+  memory size, one shared trace) through the fused struct-of-arrays
+  pass (``simulate_cells``: one ``drive_fused`` walk advancing all
+  cells together) and through per-cell ``simulate`` dispatch, verifies
+  the results are identical, and gates on the fused pass's wall-clock
+  speedup.  ``--profile`` additionally reports the per-stage split
+  (scan build, bulk kernel time, scalar fault-path time, bail-outs).
 * Adaptive policy: times the transparent ``"adaptive"`` meta-scheme
   (static predictor — bit-identical plans, but every fault-path event
   flows through the per-page access history) against plain pipelining
@@ -33,7 +29,7 @@ Two measurements, one trajectory file:
   recorded for the trajectory only.
 
 Appends one entry to the ``BENCH_throughput.json`` perf trajectory at
-the repo root and exits non-zero if either gate fails.
+the repo root and exits non-zero if any gate fails.
 
 The engine CI gate (2x) is deliberately looser than the benchmark
 suite's assertion (3x): shared CI runners are noisy, and the job should
@@ -44,8 +40,7 @@ noise by construction.
 
 Usage:  python tools/bench_throughput.py [--min-speedup 2.0]
                                          [--min-dispatch-speedup 3.0]
-                                         [--min-batch-speedup 3.0]
-                                         [--min-fused-speedup 1.5]
+                                         [--min-fused-speedup 4.5]
                                          [--max-policy-overhead 0.05]
                                          [--profile]
                                          [--out BENCH_throughput.json]
@@ -249,29 +244,20 @@ def batch_grid(trace):
     ]
 
 
-def time_batch(trace):
-    """Batched engines vs per-cell fast dispatch, same grid.
+def time_fused(trace):
+    """The fused pass vs per-cell fast dispatch, same grid.
 
-    Three arms: per-cell ``simulate``, the per-cell batch loop
-    (``fused=False``, PR 6's ``drive_batch``), and the fused
-    struct-of-arrays pass (the ``simulate_cells`` default).  The
-    warm-up pass doubles as the equivalence check: all three must be
-    exactly equal, or the measurement is comparing different
-    computations.
+    Two arms, interleaved per round: per-cell ``simulate`` and the
+    fused struct-of-arrays pass (``simulate_cells``).  The warm-up pass
+    doubles as the equivalence check: both must be exactly equal, or
+    the measurement is comparing different computations.
     """
-    from repro.sim.kernels import kernel_name
-
     configs = batch_grid(trace)
     per_cell = [simulate(trace, config) for config in configs]
-    legacy = simulate_cells(trace, configs, fused=False)
-    fused = simulate_cells(trace, configs)
-    if legacy != per_cell:
-        raise AssertionError("batched results diverge from per-cell")
-    if fused != per_cell:
+    if simulate_cells(trace, configs) != per_cell:
         raise AssertionError("fused results diverge from per-cell")
 
     per_cell_s = float("inf")
-    batch_s = float("inf")
     fused_s = float("inf")
     for _ in range(BATCH_ROUNDS):
         started = time.perf_counter()
@@ -279,27 +265,15 @@ def time_batch(trace):
             simulate(trace, config)
         per_cell_s = min(per_cell_s, time.perf_counter() - started)
         started = time.perf_counter()
-        simulate_cells(trace, configs, fused=False)
-        batch_s = min(batch_s, time.perf_counter() - started)
-        started = time.perf_counter()
         simulate_cells(trace, configs)
         fused_s = min(fused_s, time.perf_counter() - started)
-    batch = {
+    return {
         "cells": len(configs),
         "rounds": BATCH_ROUNDS,
-        "batch_per_cell_wall_ms": round(per_cell_s * 1e3, 1),
-        "batch_wall_ms": round(batch_s * 1e3, 1),
-        "batch_speedup": round(per_cell_s / batch_s, 3),
-    }
-    fused_entry = {
-        "cells": len(configs),
-        "rounds": BATCH_ROUNDS,
-        "legacy_batch_wall_ms": round(batch_s * 1e3, 1),
+        "per_cell_wall_ms": round(per_cell_s * 1e3, 1),
         "fused_wall_ms": round(fused_s * 1e3, 1),
-        "fused_speedup": round(batch_s / fused_s, 3),
-        "kernel": kernel_name(),
+        "fused_speedup": round(per_cell_s / fused_s, 3),
     }
-    return batch, fused_entry
 
 
 def profile_fused(trace):
@@ -323,8 +297,8 @@ def profile_fused(trace):
         f"(scalar share {profile.scalar_s / total_s:.0%})"
     )
     print(
-        f"                kernel {profile.kernel}   "
-        f"{profile.cells} cells   {profile.events} heap events   "
+        f"                {profile.cells} cells   "
+        f"{profile.events} heap events   "
         f"{profile.scalar_events} scalar events   "
         f"{profile.spans} spans   {len(profile.bailed)} bailed"
     )
@@ -429,8 +403,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-dispatch-speedup", type=float, default=3.0)
-    parser.add_argument("--min-batch-speedup", type=float, default=3.0)
-    parser.add_argument("--min-fused-speedup", type=float, default=1.5)
+    parser.add_argument("--min-fused-speedup", type=float, default=4.5)
     parser.add_argument("--max-policy-overhead", type=float, default=0.05)
     parser.add_argument(
         "--profile", action="store_true",
@@ -460,16 +433,11 @@ def main() -> int:
     )
 
     grid_trace = batch_trace()
-    batch, fused = time_batch(grid_trace)
+    fused = time_fused(grid_trace)
     print(
-        f"batch           per-cell {batch['batch_per_cell_wall_ms']:8.1f} "
-        f"ms   batched {batch['batch_wall_ms']:8.1f} ms   "
-        f"{batch['batch_speedup']:.2f}x"
-    )
-    print(
-        f"fused           batched {fused['legacy_batch_wall_ms']:8.1f} "
+        f"fused           per-cell {fused['per_cell_wall_ms']:8.1f} "
         f"ms   fused {fused['fused_wall_ms']:8.1f} ms   "
-        f"{fused['fused_speedup']:.2f}x  ({fused['kernel']} kernel)"
+        f"{fused['fused_speedup']:.2f}x"
     )
     if args.profile:
         profile_fused(grid_trace)
@@ -493,7 +461,6 @@ def main() -> int:
         "machine": platform.machine(),
         "cells": cells,
         "dispatch": dispatch,
-        "batch": batch,
         "fused": fused,
         "adaptive_policy": policy,
     }
@@ -526,18 +493,6 @@ def main() -> int:
         print(
             f"OK: dispatch-overhead reduction {dispatch_speedup:.2f}x "
             f">= {args.min_dispatch_speedup:.1f}x"
-        )
-    batch_speedup = batch["batch_speedup"]
-    if batch_speedup < args.min_batch_speedup:
-        print(
-            f"FAIL: batched-engine speedup {batch_speedup:.2f}x is "
-            f"below the {args.min_batch_speedup:.1f}x gate"
-        )
-        failed = True
-    else:
-        print(
-            f"OK: batched-engine speedup {batch_speedup:.2f}x >= "
-            f"{args.min_batch_speedup:.1f}x"
         )
     fused_speedup = fused["fused_speedup"]
     if fused_speedup < args.min_fused_speedup:
