@@ -10,10 +10,12 @@ calibrated measurements by default.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 from repro.errors import ConfigError, SchemeError, UnknownSchemeError
 from repro.core.plans import FaultContext, TransferPlan
 from repro.core.sequencers import Sequencer, check_follow_on, make_sequencer
+from repro.net.latency import LatencyModel
 
 
 class FetchScheme(ABC):
@@ -117,6 +119,52 @@ class EagerFullPageFetch(FetchScheme):
         return f"sp_{subpage_bytes}"
 
 
+@dataclass(slots=True)
+class _PlanTemplate:
+    """The part of a pipelined plan that does not depend on ``now_ms``.
+
+    :meth:`plan` adds the fault time back with the float operations,
+    and in the order, that planning from scratch performs — so a
+    template's plan is bitwise equal to a fresh one.
+    """
+
+    order: tuple[int, ...]               # the follow-on order used
+    latency_ms: float                    # initial fetch latency
+    initial: tuple[int, ...]             # subpages of the demand fetch
+    groups: tuple[tuple[int, ...], ...]  # the pipelined messages
+    step_ms: float                       # wire step + interrupt
+    trailing: tuple[int, ...]            # the one trailing message
+    rest_ms: float                       # rest-of-page latency
+    cpu_ms: float                        # messages * interrupt
+    request_fixed_ms: float
+    demand_wire_ms: float
+    background_wire_ms: float
+
+    def plan(self, now: float) -> TransferPlan:
+        resume = now + self.latency_ms
+        arrivals = dict.fromkeys(self.initial, resume)
+        t = resume
+        step = self.step_ms
+        for group in self.groups:
+            t += step
+            for index in group:
+                arrivals[index] = t
+        if self.trailing:
+            trailing = max(now + self.rest_ms + self.cpu_ms, t)
+            for index in self.trailing:
+                arrivals[index] = trailing
+        return TransferPlan(
+            resume_ms=resume,
+            arrivals_ms=arrivals,
+            demand_wire_ms=self.demand_wire_ms,
+            background_ready_ms=now
+            + self.request_fixed_ms
+            + self.demand_wire_ms,
+            background_wire_ms=self.background_wire_ms,
+            cpu_overhead_ms=self.cpu_ms,
+        )
+
+
 class SubpagePipelining(FetchScheme):
     """Eager fetch with individually pipelined follow-on subpages.
 
@@ -168,13 +216,23 @@ class SubpagePipelining(FetchScheme):
         self.segment_subpages = segment_subpages
         self.interrupt_ms = interrupt_ms
         self.double_initial = double_initial
+        # Plan templates (the work that does not depend on ``now_ms``)
+        # per (subpage size, page size, faulted, partner), kept only
+        # for a pure sequencer and the one pure latency model they were
+        # built from.
+        self._tables_model: LatencyModel | None = None
+        self._templates: dict[tuple[int, int, int, int], _PlanTemplate] = {}
 
     def plan_fault(self, ctx: FaultContext) -> TransferPlan:
+        s = ctx.subpage_bytes
         spp = ctx.subpages_per_page
-        if ctx.subpage_bytes >= ctx.page_bytes or spp == 1:
+        if s >= ctx.page_bytes or spp == 1:
             return FullPageFetch().plan_fault(ctx)
-        order = self.sequencer.order(ctx.faulted_subpage, spp)
-        return self.plan_with_order(ctx, order)
+        partner = self._initial_partner(ctx) if self.double_initial else -1
+        template = self._tabled(ctx, partner)
+        if template is None:
+            template = self._sequenced(ctx, partner)
+        return template.plan(ctx.now_ms)
 
     def plan_with_order(
         self,
@@ -188,12 +246,14 @@ class SubpagePipelining(FetchScheme):
         The adaptive policy layer's entry point: ``order`` is the
         predicted access order for the page's other subpages (validated
         against the sequencer contract — see
-        :func:`repro.core.sequencers.check_follow_on`), ``pipeline_count``
-        overrides the configured depth for this one fault, and a nonzero
-        ``direction`` steers the doubled initial fetch's neighbor choice
-        (Section 4.3) instead of the faulted-block-offset heuristic.
-        Arithmetic is identical to :meth:`plan_fault`, which routes
-        through here with the sequencer's order and the configured depth.
+        :func:`repro.core.sequencers.check_follow_on` — on every call),
+        ``pipeline_count`` overrides the configured depth for this one
+        fault, and a nonzero ``direction`` steers the doubled initial
+        fetch's neighbor choice (Section 4.3) instead of the
+        faulted-block-offset heuristic.  Arithmetic is identical to
+        :meth:`plan_fault`'s with the sequencer's order and the
+        configured depth, and that case is served from the same
+        template table.
         """
         s = ctx.subpage_bytes
         spp = ctx.subpages_per_page
@@ -201,48 +261,96 @@ class SubpagePipelining(FetchScheme):
             return FullPageFetch().plan_fault(ctx)
         if pipeline_count is None:
             pipeline_count = self.pipeline_count
-        check_follow_on(ctx.faulted_subpage, order, spp)
+        faulted = ctx.faulted_subpage
+        partner = (
+            self._initial_partner(ctx, direction)
+            if self.double_initial else -1
+        )
+        if pipeline_count == self.pipeline_count:
+            # A prediction that is the sequencer's own order (the
+            # static predictor's) is served from the table: being equal
+            # to that validated order is its validation.
+            template = self._tabled(ctx, partner)
+            if template is not None and template.order == tuple(order):
+                return template.plan(ctx.now_ms)
+        check_follow_on(faulted, order, spp)
+        template = self._template(
+            ctx.latency, s, ctx.page_bytes, faulted, partner, order,
+            pipeline_count,
+        )
+        return template.plan(ctx.now_ms)
 
-        initial = self.initial_subpages(ctx, direction)
+    def _tabled(
+        self, ctx: FaultContext, partner: int
+    ) -> _PlanTemplate | None:
+        """The table's template for this fault with the sequencer's
+        order and the configured depth, built on first use; ``None``
+        unless both the latency model and the sequencer are pure."""
+        latency = ctx.latency
+        if not (getattr(latency, "pure", False) and self.sequencer.pure):
+            return None
+        if latency is not self._tables_model:
+            self._tables_model = latency
+            self._templates = {}
+        key = (ctx.subpage_bytes, ctx.page_bytes, ctx.faulted_subpage, partner)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = self._sequenced(ctx, partner)
+        return template
+
+    def _sequenced(self, ctx: FaultContext, partner: int) -> _PlanTemplate:
+        """A fresh template with the sequencer's validated order and the
+        configured depth."""
+        faulted = ctx.faulted_subpage
+        spp = ctx.subpages_per_page
+        order = self.sequencer.order(faulted, spp)
+        check_follow_on(faulted, order, spp)
+        return self._template(
+            ctx.latency, ctx.subpage_bytes, ctx.page_bytes, faulted,
+            partner, order, self.pipeline_count,
+        )
+
+    def _template(
+        self,
+        latency: LatencyModel,
+        s: int,
+        page_bytes: int,
+        faulted: int,
+        partner: int,
+        order: list[int],
+        pipeline_count: int,
+    ) -> _PlanTemplate:
+        """Everything in a fault's plan that does not depend on when it
+        happens, asking ``latency`` in the order the plan needs it."""
+        initial = (faulted,) if partner < 0 else (faulted, partner)
         initial_bytes = s * len(initial)
-        resume = ctx.now_ms + ctx.latency.subpage_latency_ms(initial_bytes)
-        arrivals = {index: resume for index in initial}
+        latency_ms = latency.subpage_latency_ms(initial_bytes)
 
-        order = [index for index in order if index not in arrivals]
-        wire_step = ctx.latency.wire_time_ms(s * self.segment_subpages)
-        messages = 0
-        t = resume
-        while messages < pipeline_count and order:
-            group, order = (
-                order[: self.segment_subpages],
-                order[self.segment_subpages :],
-            )
-            t += wire_step + self.interrupt_ms
-            for index in group:
-                arrivals[index] = t
-            messages += 1
-        last_pipelined = t
+        follow = [index for index in order if index not in initial]
+        segment = self.segment_subpages
+        step_ms = latency.wire_time_ms(s * segment) + self.interrupt_ms
+        groups = []
+        while len(groups) < pipeline_count and follow:
+            groups.append(tuple(follow[:segment]))
+            follow = follow[segment:]
+        messages = len(groups)
 
-        if order:
-            rest_base = ctx.now_ms + ctx.latency.rest_of_page_ms(s)
-            trailing = max(
-                rest_base + messages * self.interrupt_ms, last_pipelined
-            )
-            for index in order:
-                arrivals[index] = trailing
-
-        demand_wire = ctx.latency.wire_time_ms(initial_bytes)
-        return TransferPlan(
-            resume_ms=resume,
-            arrivals_ms=arrivals,
-            demand_wire_ms=demand_wire,
-            background_ready_ms=ctx.now_ms
-            + ctx.latency.request_fixed_ms
-            + demand_wire,
-            background_wire_ms=ctx.latency.wire_time_ms(
-                ctx.page_bytes - initial_bytes
+        rest_ms = latency.rest_of_page_ms(s) if follow else 0.0
+        demand_wire_ms = latency.wire_time_ms(initial_bytes)
+        return _PlanTemplate(
+            order=tuple(order),
+            latency_ms=latency_ms,
+            initial=initial,
+            groups=tuple(groups),
+            step_ms=step_ms,
+            trailing=tuple(follow),
+            rest_ms=rest_ms,
+            cpu_ms=messages * self.interrupt_ms,
+            request_fixed_ms=latency.request_fixed_ms,
+            demand_wire_ms=demand_wire_ms,
+            background_wire_ms=latency.wire_time_ms(
+                page_bytes - initial_bytes
             ),
-            cpu_overhead_ms=messages * self.interrupt_ms,
         )
 
     def initial_subpages(

@@ -54,6 +54,11 @@ class Sequencer(ABC):
 
     name: str = "base"
 
+    #: Whether :meth:`order` depends on its arguments alone.  A scheme
+    #: keeps plans built from a pure sequencer's answers in a table; a
+    #: subclass whose order changes between calls must say ``False``.
+    pure: bool = False
+
     @abstractmethod
     def order(self, faulted: int, subpages_per_page: int) -> list[int]:
         """Full transfer order for all subpages except ``faulted``.
@@ -75,6 +80,7 @@ class NeighborSequencer(Sequencer):
     """+1, -1, +2, -2, ... — closest subpages first (the paper's choice)."""
 
     name = "neighbor"
+    pure = True
 
     def order(self, faulted: int, subpages_per_page: int) -> list[int]:
         self._check(faulted, subpages_per_page)
@@ -93,6 +99,7 @@ class AscendingSequencer(Sequencer):
     """
 
     name = "ascending"
+    pure = True
 
     def order(self, faulted: int, subpages_per_page: int) -> list[int]:
         self._check(faulted, subpages_per_page)

@@ -74,8 +74,16 @@ class CalibratedLatencyModel:
     Latencies for the five measured subpage sizes are returned exactly;
     other sizes are interpolated linearly in size (and extrapolated from
     the nearest pair at the ends, clamped below by the fixed request
-    cost).
+    cost).  Every fault looks these answers up, and they depend on
+    their arguments alone, so each is computed once per valid size and
+    then served from a per-model table; an invalid size is never
+    stored, so it raises on every call.
     """
+
+    #: Answers depend on the arguments alone, so a caller may keep them
+    #: (and arithmetic on them) in its own tables.  A model without this
+    #: flag is asked again on every call.
+    pure = True
 
     def __init__(
         self,
@@ -100,26 +108,47 @@ class CalibratedLatencyModel:
                 _interp(page_bytes, self._sizes, self._sub),
                 calibration.PAPER_REQUEST_FIXED_MS,
             )
+        self._sub_table: dict[int, float] = {}
+        self._rest_table: dict[int, float] = {}
+        self._wire_table: dict[int, float] = {}
 
     def subpage_latency_ms(self, subpage_bytes: int) -> float:
-        _check_subpage(subpage_bytes, self.page_bytes)
-        if subpage_bytes >= self.page_bytes:
-            return self._fullpage
-        value = _interp(subpage_bytes, self._sizes, self._sub)
-        return max(value, self.request_fixed_ms)
+        value = self._sub_table.get(subpage_bytes)
+        if value is None:
+            _check_subpage(subpage_bytes, self.page_bytes)
+            if subpage_bytes >= self.page_bytes:
+                value = self._fullpage
+            else:
+                value = max(
+                    _interp(subpage_bytes, self._sizes, self._sub),
+                    self.request_fixed_ms,
+                )
+            self._sub_table[subpage_bytes] = value
+        return value
 
     def rest_of_page_ms(self, subpage_bytes: int) -> float:
-        _check_subpage(subpage_bytes, self.page_bytes)
-        if subpage_bytes >= self.page_bytes:
-            return self._fullpage
-        value = _interp(subpage_bytes, self._sizes, self._rest)
-        return max(value, self.subpage_latency_ms(subpage_bytes))
+        value = self._rest_table.get(subpage_bytes)
+        if value is None:
+            _check_subpage(subpage_bytes, self.page_bytes)
+            if subpage_bytes >= self.page_bytes:
+                value = self._fullpage
+            else:
+                value = max(
+                    _interp(subpage_bytes, self._sizes, self._rest),
+                    self.subpage_latency_ms(subpage_bytes),
+                )
+            self._rest_table[subpage_bytes] = value
+        return value
 
     def fullpage_latency_ms(self) -> float:
         return self._fullpage
 
     def wire_time_ms(self, size_bytes: int) -> float:
-        return self.link.wire_time_ms(size_bytes)
+        value = self._wire_table.get(size_bytes)
+        if value is None:
+            value = self.link.wire_time_ms(size_bytes)
+            self._wire_table[size_bytes] = value
+        return value
 
 
 class AnalyticLatencyModel:

@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import BAIL_MIN_SPAN, BAIL_WINDOW
 from repro.sim.kernels import accumulate_lanes
 from repro.sim.simulator import Simulator
 from repro.sim.soa import (
@@ -71,6 +70,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.results import SimulationResult
     from repro.sim.simulator import _RunState
     from repro.trace.compress import RunTrace, TraceColumns
+
+#: Thrash bail-out of the fused pass: once a cell has evicted (its
+#: memory is full), a window of ``FUSED_BAIL_WINDOW`` of its
+#: interesting events that consumed fewer than ``FUSED_BAIL_WINDOW *
+#: FUSED_BAIL_MIN_SPAN`` runs hands its remainder to the reference
+#: loop.  Windows only start counting at the first eviction because
+#: every trace's cold start is fault-dense: a cell that never evicts
+#: never bails.  The values come from a sweep over the registered
+#: apps' half-memory grids; ``drive_fast`` keeps its own
+#: :data:`~repro.sim.engine.BAIL_WINDOW`.
+FUSED_BAIL_WINDOW = 256
+FUSED_BAIL_MIN_SPAN = 32
 
 #: Key under which a trace's :class:`TraceScan` rides in
 #: ``RunTrace._cols``, next to the column and occurrence caches (and,
@@ -199,6 +210,7 @@ class FusedProfile:
         "bulk_s",
         "scalar_s",
         "bailed",
+        "bail_runs",
     )
 
     def __init__(self) -> None:
@@ -209,6 +221,9 @@ class FusedProfile:
         self.bulk_s = 0.0       #: seconds in vectorized span advances
         self.scalar_s = 0.0     #: seconds in scalar event handling
         self.bailed: list[int] = []  #: cell indices that thrash-bailed
+        #: run index each bailed cell resumed at on the reference loop,
+        #: parallel to ``bailed``
+        self.bail_runs: list[int] = []
 
 
 def drive_fused(
@@ -253,11 +268,14 @@ def drive_fused(
       all participating cells agree on it (fault and hit paths both
       leave it at the event's page), and within spans it follows the
       trace alone.
-    * The thrash bail-out counts each cell's own events in its own
-      window, so a cell bails at exactly the trace point its standalone
-      run would, hands its remainder to ``_drive_reference``, and drops
-      out of the fused pass without perturbing the other cells' spans
-      (its matrix rows simply stop being selected).
+    * The thrash bail-out (:data:`FUSED_BAIL_WINDOW`) counts each
+      cell's own events in its own window, armed by the cell's own
+      first eviction, so where a cell bails does not depend on the
+      rest of the batch.  It hands its remainder to
+      ``_drive_reference`` — the shared state is exactly what that
+      loop would hold there — and drops out of the fused pass without
+      perturbing the other cells' spans (its matrix rows simply stop
+      being selected).
     """
     n_cells = len(cells)
     sims = [c[0] for c in cells]
@@ -335,6 +353,8 @@ def drive_fused(
     active_count = n_cells
     win_events = [0] * n_cells
     win_start = [0] * n_cells
+    bail_window = FUSED_BAIL_WINDOW
+    bail_runs = FUSED_BAIL_WINDOW * FUSED_BAIL_MIN_SPAN
 
     # Row index sets for the vectorized span updates, plus one prods
     # vector per distinct event_ms (cells of a grid usually share one);
@@ -527,8 +547,13 @@ def drive_fused(
             )
 
             events = win_events[c] + 1
-            if events == BAIL_WINDOW:
-                if idx + 1 - win_start[c] < BAIL_WINDOW * BAIL_MIN_SPAN:
+            if not state.result.evictions:
+                # Not armed before the memory fills: cold starts are
+                # fault-dense in every trace.
+                events = 0
+                win_start[c] = idx + 1
+            elif events == bail_window:
+                if idx + 1 - win_start[c] < bail_runs:
                     bailed.append(c)
                 else:
                     events = 0
@@ -542,19 +567,25 @@ def drive_fused(
             profile.scalar_s += perf_counter() - t0
 
         for c in bailed:
-            # Thrashing for this cell: nearly every run faults or
-            # stalls, so there is nothing left to batch for it.  Hand
+            # Thrashing for this cell: its events come too densely for
+            # the fused spans to pay for their bookkeeping.  Hand
             # its remainder to the reference loop — the shared state is
             # exactly what a standalone run would hold here — and drop
-            # it from the fused pass.
+            # it from the fused pass, its state back on the scalar
+            # objects the reference loop is fastest with.
+            state = states[c]
+            state.frames = frames_c[c].to_scalar()
+            if isinstance(state.policy, (FusedLru, FusedClock)):
+                state.policy = state.policy.to_scalar()
             clocks[c] = sims[c]._drive_reference(
-                states[c], colss[c], start=pos, clock=clocks_item(c),
+                state, colss[c], start=pos, clock=clocks_item(c),
                 last_page=last_page,
             )
             active[c] = False
             active_count -= 1
             if profile is not None:
                 profile.bailed.append(c)
+                profile.bail_runs.append(pos)
         if bailed:
             rebuild_rows()
         if active_count and bool(np.any(active & ~col_boring)):

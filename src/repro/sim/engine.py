@@ -60,6 +60,9 @@ SHORT_SPAN = 32
 #: the engine hands the rest of the trace to the reference loop.  The
 #: handoff is bit-exact: this engine maintains the same ``state`` the
 #: reference loop would, so resuming it mid-trace changes nothing.
+#: The fused multi-cell pass has its own, eviction-armed rule:
+#: :data:`repro.sim.batch.FUSED_BAIL_WINDOW` and
+#: :data:`~repro.sim.batch.FUSED_BAIL_MIN_SPAN`.
 BAIL_WINDOW = 2048
 BAIL_MIN_SPAN = 4
 

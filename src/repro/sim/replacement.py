@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -89,6 +89,19 @@ class LruPolicy(ReplacementPolicy):
         self._maybe_pending: set[int] = set()
         self._hinted = False
 
+    @classmethod
+    def restore(
+        cls, order: Iterable[int], pending: Iterable[int], hinted: bool
+    ) -> LruPolicy:
+        """A policy in a given state: resident pages head (next victim)
+        first, the pages marked by :meth:`note_pending`, and whether
+        any hint was ever given."""
+        policy = cls()
+        policy._order = OrderedDict.fromkeys(order)
+        policy._maybe_pending = set(pending)
+        policy._hinted = hinted
+        return policy
+
     def insert(self, page: int) -> None:
         if page in self._order:
             raise SimulationError(f"page {page} already resident")
@@ -160,6 +173,14 @@ class ClockPolicy(ReplacementPolicy):
 
     def __init__(self) -> None:
         self._ref: OrderedDict[int, bool] = OrderedDict()
+
+    @classmethod
+    def restore(cls, refs: Iterable[tuple[int, bool]]) -> ClockPolicy:
+        """A policy in a given state: ``(page, reference bit)`` pairs in
+        rotation order, the hand's next page first."""
+        policy = cls()
+        policy._ref = OrderedDict(refs)
+        return policy
 
     def insert(self, page: int) -> None:
         if page in self._ref:

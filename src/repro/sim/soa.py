@@ -37,6 +37,11 @@ spans mark writes in a shared boolean matrix instead of dereferencing
 N ``_Frame`` objects per page, and the flag is folded back into the
 frame at the single point the simulator reads it — ``_evict``'s
 ``frames.pop(victim)``.
+
+A cell that leaves the fused pass (its thrash bail-out) trades every
+adapter back for the scalar object in the identical state
+(``to_scalar``), so the reference loop that drives its remainder
+pays no matrix indexing per run.
 """
 
 from __future__ import annotations
@@ -47,7 +52,12 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.replacement import ReplacementPolicy
+from repro.sim.replacement import (
+    ClockPolicy,
+    FifoPolicy,
+    LruPolicy,
+    ReplacementPolicy,
+)
 
 __all__ = [
     "FusedClock",
@@ -108,11 +118,23 @@ class FusedFrames(dict):
             return frame
         return dict.pop(self, key, *default)
 
+    def to_scalar(self) -> dict:
+        """A plain frame table, the overlay folded into its frames."""
+        dirty_row = self.dirty_row
+        col_of = self.col_of
+        for page, frame in self.items():
+            col = col_of[page]
+            if dirty_row[col]:
+                frame.dirty = True
+                dirty_row[col] = False
+        return dict(self)
+
 
 class FusedLru(ReplacementPolicy):
     """LRU over a shared stamp matrix row (see module docstring)."""
 
     name = "lru"
+    _scalar_type = LruPolicy
 
     __slots__ = (
         "_stamps",
@@ -201,6 +223,17 @@ class FusedLru(ReplacementPolicy):
         self._maybe_pending.discard(page)
         return page
 
+    def to_scalar(self) -> LruPolicy:
+        """The ``OrderedDict`` policy in this exact state."""
+        cols = np.flatnonzero(self._resident)
+        cols = cols[np.argsort(self._stamps[cols])]
+        page_ids = self._page_ids
+        return self._scalar_type.restore(
+            (page_ids[col] for col in cols.tolist()),
+            self._maybe_pending,
+            self._hinted,
+        )
+
     def __len__(self) -> int:
         return int(np.count_nonzero(self._resident))
 
@@ -213,6 +246,7 @@ class FusedFifo(FusedLru):
     """FIFO: insertion stamps order eviction; references never restamp."""
 
     name = "fifo"
+    _scalar_type = FifoPolicy
 
     __slots__ = ()
 
@@ -275,6 +309,14 @@ class FusedClock(ReplacementPolicy):
             victim = next(iter(self._order))
             del self._order[victim]
         return victim
+
+    def to_scalar(self) -> ClockPolicy:
+        """The ``OrderedDict`` policy in this exact state."""
+        ref = self._ref
+        col_of = self._col_of
+        return ClockPolicy.restore(
+            (page, bool(ref[col_of[page]])) for page in self._order
+        )
 
     def __len__(self) -> int:
         return len(self._order)

@@ -77,7 +77,12 @@ class TraceColumns:
             self.writes_cum = base.writes_cum
             self._prods = base._prods
             return
-        self.pages = trace.pages.tolist()
+        # One int object per distinct page, shared by all of its runs,
+        # instead of one per run: the list costs a pointer per run.
+        unique, inverse = np.unique(trace.pages, return_inverse=True)
+        self.pages = np.array(unique.tolist(), dtype=object)[
+            inverse
+        ].tolist()
         self.blocks = trace.blocks.tolist()
         self.counts = trace.counts.tolist()
         self.writes = trace.writes.tolist()
@@ -497,19 +502,21 @@ def concatenate(traces: list[RunTrace], name: str | None = None) -> RunTrace:
     writes = np.concatenate([t.writes for t in traces])
 
     if len(pages) > 1:
-        same = np.zeros(len(pages), dtype=bool)
-        same[1:] = (
+        # same[k]: run k + 1 continues run k (same block, same access).
+        same = (
             (pages[1:] == pages[:-1])
             & (blocks[1:] == blocks[:-1])
             & (writes[1:] == writes[:-1])
         )
-        keep = ~same
-        # Fold counts of merged runs into the surviving run before them.
-        group = np.cumsum(keep) - 1
-        folded = np.zeros(int(group[-1]) + 1, dtype=np.int64)
-        np.add.at(folded, group, counts)
-        pages, blocks, writes = pages[keep], blocks[keep], writes[keep]
-        counts = folded
+        # Widen first so that a narrow input dtype cannot overflow when
+        # merged runs are summed.
+        counts = counts.astype(np.int64, copy=False)
+        if same.any():
+            keep = np.concatenate(([0], np.flatnonzero(~same) + 1))
+            # Fold counts of merged runs into the surviving run before
+            # them.
+            counts = np.add.reduceat(counts, keep)
+            pages, blocks, writes = pages[keep], blocks[keep], writes[keep]
 
     return RunTrace(
         pages=pages,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.trace.compress import RunTrace, compress_references
+from repro.trace.compress import RunTrace, compress_references, concatenate
 from repro.trace.synth.patterns import AccessPattern
 from repro.trace.synth.regions import Region
 
@@ -109,26 +109,35 @@ class Workload:
         return sum(p.refs for p in self.phases)
 
     def build(self, seed: int = 0) -> RunTrace:
-        """Generate, concatenate, and compress all phases."""
+        """Generate and compress the phases in order, then join them.
+
+        Each phase's raw address stream is compressed as soon as it is
+        generated, so only one phase's references are alive at a time
+        rather than the whole workload's (a ~100 MB transient for a
+        full-scale app, which left the heap fragmented long after the
+        trace was built).  :func:`~repro.trace.compress.concatenate`
+        merges the runs that meet at a phase seam, so the result is the
+        trace that compressing the concatenated stream would give, bit
+        for bit.
+        """
         if not self.phases:
             raise ConfigError(f"workload {self.name!r} has no phases")
         rng = np.random.default_rng(seed)
-        addr_parts: list[np.ndarray] = []
-        write_parts: list[np.ndarray] = []
+        parts: list[RunTrace] = []
         for phase in self.phases:
             addrs, writes = phase.generate(rng)
-            addr_parts.append(addrs)
-            write_parts.append(writes)
-        addresses = np.concatenate(addr_parts)
-        writes = np.concatenate(write_parts)
-        return compress_references(
-            addresses,
-            writes,
-            page_bytes=self.page_bytes,
-            block_bytes=self.block_bytes,
-            dilation=self.dilation,
-            name=self.name,
-        )
+            parts.append(
+                compress_references(
+                    addrs,
+                    writes,
+                    page_bytes=self.page_bytes,
+                    block_bytes=self.block_bytes,
+                    dilation=self.dilation,
+                    name=self.name,
+                )
+            )
+            del addrs, writes
+        return concatenate(parts, name=self.name)
 
 
 def _write_stretches(

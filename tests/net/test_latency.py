@@ -59,6 +59,42 @@ class TestCalibratedModel:
     def test_wire_time_positive(self):
         assert CalibratedLatencyModel().wire_time_ms(1024) > 0
 
+    @pytest.mark.parametrize("page_bytes", [8192, 2048])
+    def test_tables_are_exact(self, page_bytes):
+        """Memoized answers equal a fresh model's first answer bit for
+        bit, and that answer is the interpolation formula's."""
+        warm = CalibratedLatencyModel(page_bytes=page_bytes)
+        sizes = [1 << k for k in range(page_bytes.bit_length())]
+        for size in sizes + sizes:
+            warm.subpage_latency_ms(size)
+            warm.rest_of_page_ms(size)
+        for size in sizes:
+            fresh = CalibratedLatencyModel(page_bytes=page_bytes)
+            sub = fresh.subpage_latency_ms(size)
+            fresh = CalibratedLatencyModel(page_bytes=page_bytes)
+            rest = fresh.rest_of_page_ms(size)
+            assert warm.subpage_latency_ms(size).hex() == sub.hex()
+            assert warm.rest_of_page_ms(size).hex() == rest.hex()
+            if size < page_bytes:
+                formula = max(
+                    _interp(size, fresh._sizes, fresh._sub),
+                    fresh.request_fixed_ms,
+                )
+                assert sub.hex() == formula.hex()
+            else:
+                assert sub == rest == fresh.fullpage_latency_ms()
+
+    @pytest.mark.parametrize("size", [0, -8, 3, 300, 3000, 16384])
+    def test_invalid_size_raises_on_every_call(self, size):
+        model = CalibratedLatencyModel()
+        model.subpage_latency_ms(1024)
+        model.rest_of_page_ms(1024)
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                model.subpage_latency_ms(size)
+            with pytest.raises(ConfigError):
+                model.rest_of_page_ms(size)
+
 
 class TestAnalyticModel:
     def test_satisfies_protocol(self):

@@ -19,6 +19,7 @@ import pytest
 from repro.sim import parallel
 from repro.sim.batch import (
     _SCAN_KEY,
+    FUSED_BAIL_WINDOW,
     FusedProfile,
     TraceScan,
     batch_eligible,
@@ -445,6 +446,91 @@ class TestFusedEngine:
         assert sorted(profile.bailed) == [0, 1]
         for config, result in zip(configs, got):
             assert result == simulate(trace, config)
+
+    def test_cold_start_without_eviction_never_bails(self):
+        """Every run of a cold sequential scan faults, which would
+        trip the thrash window from the first event on; a cell that
+        holds the whole footprint never evicts, so it never bails."""
+        pages = 3 * FUSED_BAIL_WINDOW
+        trace = thrash_trace(runs=pages, pages=pages)
+        configs = [
+            self.config(memory_pages=pages, subpage_bytes=sp)
+            for sp in (512, 1024)
+        ]
+        profile = FusedProfile()
+        got = [
+            r for r, _ in simulate_cells_timed(
+                trace, configs, profile=profile
+            )
+        ]
+        assert profile.bailed == []
+        for config, result in zip(configs, got):
+            assert result.evictions == 0
+            assert result.total_faults == pages
+            assert result == simulate(
+                trace, config.with_overrides(engine="reference")
+            )
+
+    def test_thrasher_bails_only_after_first_eviction(self):
+        """A round-robin over twice the memory faults on every run,
+        cold start included.  The bail window arms at the first
+        eviction (run ``memory``), so the cell bails one full window
+        later, not inside its cold start."""
+        memory = 2 * FUSED_BAIL_WINDOW
+        trace = thrash_trace(runs=20 * memory, pages=2 * memory)
+        thrasher = self.config(memory_pages=memory)
+        healthy = self.config(memory_pages=2 * memory)
+        configs = [thrasher, healthy]
+        profile = FusedProfile()
+        got = [
+            r for r, _ in simulate_cells_timed(
+                trace, configs, profile=profile
+            )
+        ]
+        assert profile.bailed == [0]
+        assert profile.bail_runs == [memory + FUSED_BAIL_WINDOW]
+        assert got[0].evictions > 0
+        assert got[1].evictions == 0
+        for config, result in zip(configs, got):
+            assert result == simulate(
+                trace, config.with_overrides(engine="reference")
+            )
+
+    @pytest.mark.parametrize(
+        "replacement", ["lru", "fifo", "clock", "random"]
+    )
+    def test_bailed_cell_resumes_on_scalar_state(self, replacement):
+        """A bailing cell trades its matrix-backed policy and dirty
+        overlay back for the scalar objects; the reference loop then
+        finishes it bit-identically, dirty evictions included."""
+        # A hot set that stays resident (so spans leave dirty marks in
+        # the overlay) over a cold stream that faults on most runs.
+        rng = np.random.default_rng(3)
+        n = 20_000
+        pages = np.where(
+            rng.random(n) < 0.7,
+            rng.integers(0, 4, size=n),
+            rng.integers(4, 204, size=n),
+        )
+        writes = rng.random(n) < 0.3
+        trace = compress_references(pages * 8192, writes, name="mix")
+        configs = [
+            self.config(memory_pages=8, replacement=replacement,
+                        scheme=scheme)
+            for scheme in ("eager", "pipelined")
+        ]
+        profile = FusedProfile()
+        got = [
+            r for r, _ in simulate_cells_timed(
+                trace, configs, profile=profile
+            )
+        ]
+        assert sorted(profile.bailed) == [0, 1]
+        for config, result in zip(configs, got):
+            assert result.dirty_evictions > 0
+            assert result == simulate(
+                trace, config.with_overrides(engine="reference")
+            )
 
     def test_profile_accounts_stages(self, trace):
         configs = [j.config for j in make_jobs(trace)]

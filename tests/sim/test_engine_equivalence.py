@@ -20,7 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.batch import batch_eligible, simulate_cells
+from repro.sim.batch import (
+    FusedProfile,
+    batch_eligible,
+    simulate_cells,
+    simulate_cells_timed,
+)
 from repro.sim.config import SimulationConfig, memory_pages_for
 from repro.sim.simulator import Simulator, simulate
 from repro.trace.compress import compress_references
@@ -226,12 +231,14 @@ class TestBatchEquivalence:
             assert got.summary() == ref.summary()
             assert got.link_stats == ref.link_stats
 
-    @pytest.mark.parametrize("app", ["graph", "websess"])
+    @pytest.mark.parametrize("app", ["kvserve", "graph", "websess"])
     def test_fault_dense_modern_family(self, app):
         """A fault-dense modern workload at half memory on figZOO's
         {eager, pipelined} x {4096, 1024, 256} grid: eviction and the
         scalar fault path dominate the fused pass (graph evicts about
-        ten thousand pages here)."""
+        ten thousand pages here), and at least one cell thrash-bails
+        to the reference loop mid-trace, so the handoff is covered on
+        a real family."""
         trace = build_app_trace(app, scale=0.1)
         configs = [
             SimulationConfig(
@@ -245,8 +252,14 @@ class TestBatchEquivalence:
             for subpage in (4096, 1024, 256)
         ]
         assert all(batch_eligible(c) for c in configs)
-        batched = simulate_cells(trace, configs)
+        profile = FusedProfile()
+        batched = [
+            r for r, _ in simulate_cells_timed(
+                trace, configs, profile=profile
+            )
+        ]
         assert sum(r.evictions for r in batched) > 0
+        assert profile.bailed
         for config, got in zip(configs, batched):
             fast = simulate(trace, config)
             ref = simulate(trace, config.with_overrides(engine="reference"))

@@ -132,6 +132,21 @@ class TestConcatenate:
         assert c.num_runs == 2
         assert c.counts[0] == 3
 
+    def test_seam_merge_of_narrow_counts_does_not_overflow(self):
+        # Two uint8 runs of 200 that merge at the seam hold 400.
+        def run(count):
+            return RunTrace(
+                pages=np.array([7], dtype=np.int64),
+                blocks=np.array([3], dtype=np.int16),
+                counts=np.array([count], dtype=np.uint8),
+                writes=np.array([False]),
+            )
+
+        c = concatenate([run(200), run(200)])
+        assert c.num_runs == 1
+        assert c.counts.dtype == np.int64
+        assert int(c.counts[0]) == 400
+
     def test_rejects_empty_list(self):
         with pytest.raises(TraceError):
             concatenate([])

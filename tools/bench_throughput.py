@@ -18,8 +18,11 @@ Two measurements, one trajectory file:
   pass (``simulate_cells``: one ``drive_fused`` walk advancing all
   cells together) and through per-cell ``simulate`` dispatch, verifies
   the results are identical, and gates on the fused pass's wall-clock
-  speedup.  ``--profile`` additionally reports the per-stage split
-  (scan build, bulk kernel time, scalar fault-path time, bail-outs).
+  speedup.  The gate also fails if any cell thrash-bails to the
+  reference loop, so it always times the fused pass itself.
+  ``--profile`` additionally reports the per-stage split (scan build,
+  bulk kernel time, scalar fault-path time, bail-outs with the run
+  each bailed cell left the pass at).
 * Adaptive policy: times the transparent ``"adaptive"`` meta-scheme
   (static predictor — bit-identical plans, but every fault-path event
   flows through the per-page access history) against plain pipelining
@@ -65,6 +68,7 @@ from repro.sim.batch import (
     _SCAN_KEY,
     FusedProfile,
     simulate_cells,
+    simulate_cells_timed,
     trace_scan,
 )
 from repro.sim.config import SimulationConfig, memory_pages_for
@@ -250,11 +254,14 @@ def time_fused(trace):
     Two arms, interleaved per round: per-cell ``simulate`` and the
     fused struct-of-arrays pass (``simulate_cells``).  The warm-up pass
     doubles as the equivalence check: both must be exactly equal, or
-    the measurement is comparing different computations.
+    the measurement is comparing different computations.  It also
+    counts the cells that bailed out of the fused pass.
     """
     configs = batch_grid(trace)
     per_cell = [simulate(trace, config) for config in configs]
-    if simulate_cells(trace, configs) != per_cell:
+    profile = FusedProfile()
+    fused = simulate_cells_timed(trace, configs, profile=profile)
+    if [result for result, _ in fused] != per_cell:
         raise AssertionError("fused results diverge from per-cell")
 
     per_cell_s = float("inf")
@@ -273,13 +280,12 @@ def time_fused(trace):
         "per_cell_wall_ms": round(per_cell_s * 1e3, 1),
         "fused_wall_ms": round(fused_s * 1e3, 1),
         "fused_speedup": round(per_cell_s / fused_s, 3),
+        "bailed": len(profile.bailed),
     }
 
 
 def profile_fused(trace):
     """One profiled fused pass over the grid, per-stage split."""
-    from repro.sim.batch import simulate_cells_timed
-
     configs = batch_grid(trace)
     cols = trace.columns(BATCH_SUBPAGES[0])
     trace._cols.pop(_SCAN_KEY, None)
@@ -302,6 +308,8 @@ def profile_fused(trace):
         f"{profile.scalar_events} scalar events   "
         f"{profile.spans} spans   {len(profile.bailed)} bailed"
     )
+    for cell, run in zip(profile.bailed, profile.bail_runs):
+        print(f"                cell {cell} bailed at run {run}")
 
 
 def sweep_trace():
@@ -437,7 +445,7 @@ def main() -> int:
     print(
         f"fused           per-cell {fused['per_cell_wall_ms']:8.1f} "
         f"ms   fused {fused['fused_wall_ms']:8.1f} ms   "
-        f"{fused['fused_speedup']:.2f}x"
+        f"{fused['fused_speedup']:.2f}x   {fused['bailed']} bailed"
     )
     if args.profile:
         profile_fused(grid_trace)
@@ -495,7 +503,13 @@ def main() -> int:
             f">= {args.min_dispatch_speedup:.1f}x"
         )
     fused_speedup = fused["fused_speedup"]
-    if fused_speedup < args.min_fused_speedup:
+    if fused["bailed"]:
+        print(
+            f"FAIL: {fused['bailed']} fused cells bailed to the reference "
+            f"loop; the fused gate must time the fused pass"
+        )
+        failed = True
+    elif fused_speedup < args.min_fused_speedup:
         print(
             f"FAIL: fused-engine speedup {fused_speedup:.2f}x is "
             f"below the {args.min_fused_speedup:.1f}x gate"
