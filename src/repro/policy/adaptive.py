@@ -218,8 +218,9 @@ class AdaptiveScheme(FetchScheme):
         Service very-low-confidence faults with lazy subpage fetch
         instead of the eager remainder.
     feed:
-        ``"faults"`` (default, fast-engine compatible) or ``"events"``
-        (per-reference-run observations, reference loop only).
+        ``"faults"`` (default; ``engine="fast"`` keeps its fused pass)
+        or ``"events"`` (per-reference-run observations, reference loop
+        only).
     history_depth:
         Ring depth for the predictor's per-page access history.
     """

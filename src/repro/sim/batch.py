@@ -10,9 +10,9 @@ in a :class:`TraceScan` shared by every cell of a batch:
 * ``switch_pos``/``switch_next`` — the position of every page switch,
   plus the position of the *next* switch to the same page.  Any span
   ``[i, j)`` recovers its replacement-policy touch sequence (each
-  switched page's **last** switch, in ascending order — exactly the
-  fast engine's dedup order) with two ``searchsorted`` probes and one
-  vectorized compare ``switch_next >= j``, instead of a per-span sort.
+  switched page's **last** switch, in ascending order) with two
+  ``searchsorted`` probes and one vectorized compare
+  ``switch_next >= j``, instead of a per-span sort.
 * ``write_pos``/``write_prev`` — the same structure for write runs:
   ``write_prev < i`` selects each page's first write inside the span,
   i.e. the unique pages to dirty-mark.
@@ -30,16 +30,21 @@ the simulator's frame table with its valid-subpage bitmasks, so the
 scalar path is *identical* code to the reference loop's.
 
 Bit-exactness: the clock chain is the same left-to-right float64
-addition chain the reference loop performs, the touch order is the same
-ascending last-switch order, and dirty marking is an idempotent flag —
+addition chain the reference loop performs, replaying each switched
+page's last switch in ascending order leaves the same recency order as
+replaying every switch, and dirty marking is an idempotent flag —
 ``tests/sim/test_engine_equivalence.py`` asserts equal
-:class:`~repro.sim.results.SimulationResult` objects against both the
-fast and reference engines across the full integration matrix.
+:class:`~repro.sim.results.SimulationResult` objects against the
+reference loop across the full integration matrix.
 
-Eligibility (:func:`batch_eligible`) is stricter than the fast
-engine's: no observability, no PALcode, no distance tracking, no TLB
-(its miss walks interleave with the clock inside spans), no adaptive
-meta-scheme, and no live model instances (those cells are not
+The fused pass is also the ``engine="fast"`` path of a single
+:meth:`~repro.sim.simulator.Simulator.run`: a pass of one cell.  So
+the simulator has two event loops, this one and the reference loop it
+bails out to.  Grouping several cells into one pass
+(:func:`batch_eligible`) is stricter than that single-cell dispatch:
+on top of its exclusions (observability, PALcode, distance tracking,
+the TLB, event-feed adaptive policies) it rules out the adaptive
+meta-scheme and live model instances (those cells are not
 content-addressable and keep their per-cell dispatch).  Ineligible
 configurations silently take the ordinary :func:`~repro.sim.simulator.
 simulate` path, so :func:`simulate_cells` is a safe drop-in for any
@@ -72,14 +77,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trace.compress import RunTrace, TraceColumns
 
 #: Thrash bail-out of the fused pass: once a cell has evicted (its
-#: memory is full), a window of ``FUSED_BAIL_WINDOW`` of its
-#: interesting events that consumed fewer than ``FUSED_BAIL_WINDOW *
-#: FUSED_BAIL_MIN_SPAN`` runs hands its remainder to the reference
-#: loop.  Windows only start counting at the first eviction because
-#: every trace's cold start is fault-dense: a cell that never evicts
-#: never bails.  The values come from a sweep over the registered
-#: apps' half-memory grids; ``drive_fast`` keeps its own
-#: :data:`~repro.sim.engine.BAIL_WINDOW`.
+#: memory is full) or taken a lazy subpage fault, a window of
+#: ``FUSED_BAIL_WINDOW`` of its interesting events that consumed fewer
+#: than ``FUSED_BAIL_WINDOW * FUSED_BAIL_MIN_SPAN`` runs hands its
+#: remainder to the reference loop.  Windows only start counting at
+#: the first eviction or subpage fault because every trace's cold start
+#: is fault-dense: a cell whose pages all complete without evicting
+#: never bails, while a lazy cell's pages stay incomplete until every
+#: subpage has been touched, so later runs on them are events even at
+#: full memory.  The values come from a sweep over the registered
+#: apps' half-memory grids.
 FUSED_BAIL_WINDOW = 256
 FUSED_BAIL_MIN_SPAN = 32
 
@@ -172,13 +179,13 @@ def trace_scan(trace: "RunTrace", cols: "TraceColumns") -> TraceScan:
 def batch_eligible(config: SimulationConfig) -> bool:
     """Whether a configuration may run under the batched engine.
 
-    Everything the fast engine excludes (observability, PALcode,
-    distance tracking, event-feed adaptive policies) plus the TLB —
-    its miss walks interleave with the clock inside spans, defeating
-    bulk advancement — the adaptive meta-scheme altogether (its
-    controller state is deliberately kept on the per-cell dispatch
-    path), and live model instances (not content-addressable, so the
-    executor cannot group them by content anyway).
+    Everything the single-cell fused dispatch of ``Simulator.run``
+    excludes (observability, PALcode, distance tracking, the TLB,
+    event-feed adaptive policies) plus the adaptive meta-scheme
+    altogether (its controller state is deliberately kept on the
+    per-cell dispatch path) and live model instances (not
+    content-addressable, so the executor cannot group them by content
+    anyway).
     """
     return (
         config.engine == "fast"
@@ -235,8 +242,8 @@ def drive_fused(
     """Drive N cells through ONE pass over the shared event heap.
 
     Returns each cell's final clock, positionally parallel to
-    ``cells``.  Where :func:`~repro.sim.engine.drive_fast` walks a
-    heap once *per cell*, this walks it once for the whole batch:
+    ``cells``.  The event heap is walked once for the whole batch
+    (``Simulator.run`` calls this with a single cell):
 
     * The heap holds one entry per page that is interesting — faulting,
       pending, or incomplete — for **any** active cell, at its next
@@ -253,7 +260,7 @@ def drive_fused(
       each cell's own state.  Cells that hold the page resident and
       complete take the vectorized hit path.
 
-    Bit-identity with per-cell ``drive_fast``:
+    Bit-identity with a one-cell pass (and so with the reference loop):
 
     * A cell's event sequence is unchanged.  The fused heap's entries
       are a superset of any one cell's, so every run one cell finds
@@ -270,8 +277,8 @@ def drive_fused(
       trace alone.
     * The thrash bail-out (:data:`FUSED_BAIL_WINDOW`) counts each
       cell's own events in its own window, armed by the cell's own
-      first eviction, so where a cell bails does not depend on the
-      rest of the batch.  It hands its remainder to
+      first eviction or subpage fault, so where a cell bails does not
+      depend on the rest of the batch.  It hands its remainder to
       ``_drive_reference`` — the shared state is exactly what that
       loop would hold there — and drops out of the fused pass without
       perturbing the other cells' spans (its matrix rows simply stop
@@ -299,9 +306,13 @@ def drive_fused(
     page_ids_list = scan.page_ids_list
     col_of = scan.col_of
     n_pages = len(page_ids_list)
-    searchsorted = np.searchsorted
     # Probe with the positions arrays' own dtype, or every
-    # searchsorted re-casts the whole (int32) array to int64.
+    # searchsorted re-casts the whole (int32) array to int64.  The
+    # per-span and per-event calls below use ndarray methods
+    # (``.searchsorted``, ``.nonzero``): the ``np.`` function wrappers
+    # cost more than the work on these short arrays.
+    switch_search = switch_pos.searchsorted
+    write_search = write_pos.searchsorted
     run_t = switch_pos.dtype.type
     ix_ = np.ix_
     flatnonzero = np.flatnonzero
@@ -419,14 +430,14 @@ def drive_fused(
             profile.spans += 1
             t0 = perf_counter()
         ri, rj = run_t(i), run_t(j)
-        lo = searchsorted(switch_pos, ri)
-        hi = searchsorted(switch_pos, rj)
+        lo = switch_search(ri)
+        hi = switch_search(rj)
         if hi > lo:
             tcols = switch_col[lo:hi]
             if hi - lo > 1:
                 # Each switched page's last switch inside the span, in
-                # ascending position order — the same dedup sequence
-                # drive_fast replays per cell.
+                # ascending position order: the same final recency
+                # order as replaying every switch.
                 tcols = tcols[switch_next[lo:hi] >= rj]
             count = len(tcols)
             base = ctr.value
@@ -445,8 +456,8 @@ def drive_fused(
                 else:
                     refbits[ix_(tcols, clk_rows)] = True
             last_page = pages_l[j - 1]
-        wlo = searchsorted(write_pos, ri)
-        whi = searchsorted(write_pos, rj)
+        wlo = write_search(ri)
+        whi = write_search(rj)
         if whi > wlo:
             # Each page's first write inside the span = the span's
             # unique written pages (dirty marking is idempotent).
@@ -468,7 +479,8 @@ def drive_fused(
         in_heap.discard(page)
         col = col_of[page]
         col_boring = boring[col]
-        rows = flatnonzero(active & ~col_boring)
+        # Active cells for which the page is interesting (not boring).
+        rows = (active > col_boring).nonzero()[0]
         if idx < pos:
             # Defensive: with one entry per page this cannot happen (the
             # heap minimum bounds how far spans advance), but a stale
@@ -494,8 +506,8 @@ def drive_fused(
 
         # Cells holding the page resident-and-complete: this event run
         # is a plain hit for them — the span treatment, one run wide.
-        orows = flatnonzero(active & col_boring)
-        if orows.size:
+        if rows.size < active_count:
+            orows = (active & col_boring).nonzero()[0]
             clocks[orows] += count * event_ms_arr[orows]
             if switch:
                 stamp = ctr.next()
@@ -508,8 +520,11 @@ def drive_fused(
             if write:
                 dirty[col, orows] = True
 
-        # Interested cells: the exact scalar reference treatment.
+        # Interested cells: the exact scalar reference treatment.  The
+        # hit cells above stay boring, so the page goes back into the
+        # heap iff a cell handled here stays interested and active.
         bailed: list[int] = []
+        again = False
         for c in rows.tolist():
             sim = sims[c]
             state = states[c]
@@ -542,23 +557,26 @@ def drive_fused(
                 if write and not frame.dirty:
                     frame.dirty = True
             clocks[c] = clock + count * event_ms_c[c]
-            col_boring[c] = (
-                frame.pending is None and frame.valid_bits == full_mask
-            )
+            done = frame.pending is None and frame.valid_bits == full_mask
+            col_boring[c] = done
 
             events = win_events[c] + 1
-            if not state.result.evictions:
-                # Not armed before the memory fills: cold starts are
-                # fault-dense in every trace.
+            result = state.result
+            if not (result.evictions or result.subpage_faults):
+                # Not armed before the memory fills or a lazy page
+                # stays incomplete: cold starts are fault-dense in
+                # every trace.
                 events = 0
                 win_start[c] = idx + 1
             elif events == bail_window:
                 if idx + 1 - win_start[c] < bail_runs:
                     bailed.append(c)
-                else:
-                    events = 0
-                    win_start[c] = idx + 1
+                    continue
+                events = 0
+                win_start[c] = idx + 1
             win_events[c] = events
+            if not done:
+                again = True
 
         last_page = page
         pos = idx + 1
@@ -588,7 +606,7 @@ def drive_fused(
                 profile.bail_runs.append(pos)
         if bailed:
             rebuild_rows()
-        if active_count and bool(np.any(active & ~col_boring)):
+        if again:
             push(page, pos)
 
     if active_count:

@@ -30,9 +30,10 @@ BACKINGS = ("remote", "disk", "cluster")
 #: software emulation (Table 1 costs on incomplete pages).
 PROTECTIONS = ("tlb", "palcode")
 
-#: Execution engines: "fast" bulk-advances the clock over no-fault spans
-#: (bit-identical results, auto-falls back to "reference" when per-event
-#: hooks are demanded); "reference" forces the plain per-run loop.
+#: Execution engines: "fast" runs a one-cell fused pass that
+#: bulk-advances the clock over no-fault spans (bit-identical results,
+#: auto-falls back to "reference" when per-event hooks or a TLB are
+#: demanded); "reference" forces the plain per-run loop.
 ENGINES = ("fast", "reference")
 
 
@@ -118,10 +119,11 @@ class SimulationConfig:
     track_distances: bool = True
     observe: str = ""
     #: Execution engine (see :data:`ENGINES`).  ``"fast"`` produces
-    #: bit-identical results via bulk span processing and silently falls
-    #: back to the reference loop when an instrument, PALcode emulation,
-    #: or distance tracking demands per-event hooks; ``"reference"``
-    #: always uses the per-run loop.
+    #: bit-identical results via a one-cell fused pass
+    #: (:func:`repro.sim.batch.drive_fused`) and silently falls back to
+    #: the reference loop when an instrument, PALcode emulation,
+    #: distance tracking, an event-feed adaptive policy or a TLB demands
+    #: per-run work; ``"reference"`` always uses the per-run loop.
     engine: str = "fast"
     seed: int = 0
     name: str = ""

@@ -46,9 +46,9 @@ def accumulate_lanes(
     lane's final clock.
 
     Lane ``r`` computes ``(((seeds[r] + prods[i]) + prods[i+1]) + ...)``
-    — the exact chain :func:`repro.sim.engine.span_clock` (and the
-    reference loop) would, because float64 addition is performed in the
-    same order with the same operands.  Lanes never mix.
+    — the exact chain the reference loop's per-run
+    ``clock += count * event_ms`` performs, because float64 addition is
+    done in the same order with the same operands.  Lanes never mix.
 
     The accumulate is latency-bound (every add depends on the previous
     one), so adjacent lanes are packed into one ``complex128`` lane:
@@ -62,7 +62,7 @@ def accumulate_lanes(
     """
     lanes = seeds.shape[0]
     if lanes == 1:
-        # Single cell: the 1-D fast-engine chain, no 2-D scratch.
+        # Single cell: one 1-D chain, no 2-D scratch.
         seg = prods[i:j].copy()
         seg[0] += seeds[0]
         np.add.accumulate(seg, out=seg)

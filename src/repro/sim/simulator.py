@@ -31,7 +31,6 @@ from repro.net.latency import CalibratedLatencyModel
 from repro.obs.instrument import Instrument, Recorder
 from repro.palcode.emulator import PalEmulator
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import drive_fast
 from repro.sim.replacement import make_policy
 from repro.sim.results import SimulationResult
 from repro.sim.tlb import TlbModel
@@ -116,7 +115,13 @@ class Simulator:
         """Simulate ``trace`` and return the result."""
         state, cols, recorder = self._prepare(trace)
         if self._use_fast(state):
-            clock = drive_fast(self, state, trace, cols)
+            # A one-cell fused pass; imported here because
+            # repro.sim.batch imports this module.
+            from repro.sim.batch import drive_fused, trace_scan
+
+            (clock,) = drive_fused(
+                [(self, state, cols)], trace, trace_scan(trace, cols)
+            )
         else:
             clock = self._drive_reference(state, cols)
         return self._finish(state, clock, recorder)
@@ -219,14 +224,15 @@ class Simulator:
         return state, cols, recorder
 
     def _use_fast(self, state: "_RunState") -> bool:
-        """Engine dispatch: the fast engine handles every configuration
+        """Engine dispatch: the fused pass handles every configuration
         except those demanding per-event hooks — an attached
         instrument (including the observe= recorder), PALcode
         emulation (charged per reference against in-flight pages),
-        subpage-distance tracking (inspects every hit), and adaptive
-        policies on the per-reference-run "events" feed.  The default
-        "faults" feed observes only at faults and incomplete-page
-        touches, which both engines visit identically.
+        subpage-distance tracking (inspects every hit), adaptive
+        policies on the per-reference-run "events" feed — and the TLB,
+        whose miss walks interleave with the clock inside spans.  The
+        default "faults" feed observes only at faults and
+        incomplete-page touches, which both loops visit identically.
         """
         cfg = self.config
         controller = state.adaptive
@@ -234,6 +240,7 @@ class Simulator:
             cfg.engine == "fast"
             and state.ins is None
             and state.pal is None
+            and state.tlb is None
             and not cfg.track_distances
             and (controller is None or not controller.needs_reference_events)
         )
@@ -266,8 +273,8 @@ class Simulator:
     ) -> float:
         """The per-run reference loop; handles every configuration.
 
-        ``start``/``clock``/``last_page`` let the fast engines hand a
-        partially-driven run over mid-trace (their bail-out path): the
+        ``start``/``clock``/``last_page`` let the fused pass hand a
+        partially-driven run over mid-trace (its bail-out path): the
         shared ``state`` is exactly what this loop would have produced,
         so resuming at run ``start`` is bit-identical to having driven
         the whole trace here.
@@ -803,11 +810,11 @@ class _RunState:
     full_mask: int
     ins: Instrument | None = None
     #: The scheme's adaptive controller, if any; fed access
-    #: observations from the fault path (both engines) and — on the
+    #: observations from the fault path (both loops) and — on the
     #: ``"events"`` feed — per reference run (reference loop only).
     adaptive: "AdaptivePolicy | None" = None
-    #: The most recent eviction victim (set by ``_evict``); the fast
-    #: engine reads it after a fault to re-enter the page in its
+    #: The most recent eviction victim (set by ``_evict``); the fused
+    #: pass reads it after a fault to re-enter the page in its
     #: interesting-event heap.
     last_victim: int | None = None
     #: Where a bounded ``_drive_reference(until=...)`` stopped: the

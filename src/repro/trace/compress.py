@@ -33,13 +33,14 @@ def index_dtype(count: int) -> type:
 
 
 class TraceColumns:
-    """Precomputed per-run columns for the simulator engines.
+    """Precomputed per-run columns for the simulator's event loops.
 
     One instance per (trace, subpage size), cached on the owning
     :class:`RunTrace` so sweeps that revisit a trace (or a subpage size)
     pay the array→list conversion once.  Holds both the plain-Python
-    lists the per-run loops iterate fastest over and the NumPy views the
-    fast engine's bulk span processing slices.
+    lists the per-run loops iterate fastest over and the NumPy arrays
+    the fused pass's :class:`~repro.sim.batch.TraceScan` and clock
+    products are built from.
     """
 
     __slots__ = (
@@ -52,8 +53,6 @@ class TraceColumns:
         "counts_f64",
         "writes_arr",
         "switch_arr",
-        "switch_cum",
-        "writes_cum",
         "_prods",
     )
 
@@ -73,8 +72,6 @@ class TraceColumns:
             self.counts_f64 = base.counts_f64
             self.writes_arr = base.writes_arr
             self.switch_arr = base.switch_arr
-            self.switch_cum = base.switch_cum
-            self.writes_cum = base.writes_cum
             self._prods = base._prods
             return
         # One int object per distinct page, shared by all of its runs,
@@ -94,9 +91,8 @@ class TraceColumns:
         n = len(self.pages)
         # Page-switch structure: switch_arr[k] says run k references a
         # different page than run k-1 (run 0 always "switches" — no
-        # page id is negative, so it also differs from the engines'
-        # initial last_page of -1).  The cumulative sums give any
-        # span's switch/write count in O(1).
+        # page id is negative, so it also differs from the event loops'
+        # initial last_page of -1).
         self.switch_arr = np.empty(n, dtype=bool)
         if n:
             self.switch_arr[0] = True
@@ -104,17 +100,6 @@ class TraceColumns:
                 self.pages_arr[1:], self.pages_arr[:-1],
                 out=self.switch_arr[1:],
             )
-        # Derived index arrays use the narrowest dtype the run count
-        # permits: int32 halves the per-process cache (and the fast
-        # engines' slice traffic) for every real trace, int64 only past
-        # 2**31-1 runs.  Only *derived* caches downsize — the RunTrace
-        # run arrays themselves feed ``fingerprint()`` (raw bytes), so
-        # their dtype is part of the trace's content address.
-        idx = index_dtype(n)
-        self.switch_cum = np.zeros(n + 1, dtype=idx)
-        np.cumsum(self.switch_arr, dtype=idx, out=self.switch_cum[1:])
-        self.writes_cum = np.zeros(n + 1, dtype=idx)
-        np.cumsum(self.writes_arr, dtype=idx, out=self.writes_cum[1:])
         #: event_ms -> counts * event_ms products, shared with every
         #: subpage size's columns (``base._prods`` above) so a whole
         #: grid of cells computes each clock-product vector once.
@@ -259,9 +244,9 @@ class RunTrace:
     def columns(self, subpage_bytes: int) -> TraceColumns:
         """Cached :class:`TraceColumns` at ``subpage_bytes`` granularity.
 
-        The simulator engines iterate these instead of re-converting the
-        arrays per run; size-independent columns are shared across the
-        cached entries.
+        The simulator's event loops iterate these instead of
+        re-converting the arrays per run; size-independent columns are
+        shared across the cached entries.
         """
         cols = self._cols.get(subpage_bytes)
         if cols is None:
@@ -300,7 +285,7 @@ class RunTrace:
     def occurrences(self) -> dict[int, list[int]]:
         """Cached map of page -> ascending run indices touching it.
 
-        The fast engine's interesting-event heap walks these lists to
+        The fused pass's interesting-event heap walks these lists to
         find each page's next occurrence.  Built with one stable argsort
         of the page column.
         """

@@ -183,8 +183,6 @@ class TestTraceScan:
             assert arr.dtype == np.int32
         assert scan.switch_col.dtype == np.int32
         assert scan.write_col.dtype == np.int32
-        assert cols.switch_cum.dtype == np.int32
-        assert cols.writes_cum.dtype == np.int32
         # The trace's own run arrays must NOT downsize: their bytes are
         # hashed into the content-addressing fingerprint.
         assert cols.pages_arr.dtype == np.int64
@@ -406,9 +404,11 @@ class TestFusedEngine:
         kwargs.update(overrides)
         return SimulationConfig(**kwargs)
 
-    def test_single_cell_fused_matches_drive_fast(self, trace):
+    def test_single_cell_fused_matches_reference(self, trace):
         config = self.config(subpage_bytes=512)
-        assert simulate_cells(trace, [config]) == [simulate(trace, config)]
+        assert simulate_cells(trace, [config]) == [
+            simulate(trace, config.with_overrides(engine="reference"))
+        ]
 
     def test_bailing_cell_leaves_others_untouched(self):
         trace = thrash_trace()
@@ -492,6 +492,35 @@ class TestFusedEngine:
         assert got[0].evictions > 0
         assert got[1].evictions == 0
         for config, result in zip(configs, got):
+            assert result == simulate(
+                trace, config.with_overrides(engine="reference")
+            )
+
+    def test_full_memory_lazy_cell_bails(self):
+        """Lazy pages whose tail subpages are never touched stay
+        incomplete, so every run on them is an event even when memory
+        holds the whole footprint.  The window arms at the first
+        subpage fault, so such a cell bails without ever evicting."""
+        rng = np.random.default_rng(5)
+        n = 20_000
+        pages = rng.integers(0, 16, size=n)
+        # Offsets in the first half of each page only.
+        offsets = rng.integers(0, 4096 // 64, size=n) * 64
+        trace = compress_references(
+            pages * 8192 + offsets, name="lazyfull"
+        )
+        lazy = self.config(memory_pages=16, scheme="lazy")
+        eager = self.config(memory_pages=16)
+        profile = FusedProfile()
+        got = [
+            r for r, _ in simulate_cells_timed(
+                trace, [lazy, eager], profile=profile
+            )
+        ]
+        assert profile.bailed == [0]
+        assert got[0].evictions == 0
+        assert got[0].subpage_faults > 0
+        for config, result in zip([lazy, eager], got):
             assert result == simulate(
                 trace, config.with_overrides(engine="reference")
             )

@@ -5,14 +5,14 @@ configuration x backing) is run through both engines and the complete
 :class:`~repro.sim.results.SimulationResult` dataclasses are compared
 with ``==`` — which covers timing components, fault/eviction counters,
 fault records, stall intervals, and substrate statistics, all to the
-last float bit.  No tolerances anywhere: the fast engine reorders no
-arithmetic (see ``repro/sim/engine.py``).
+last float bit.  No tolerances anywhere: the fast engine (a one-cell
+fused pass) reorders no arithmetic (see ``repro/sim/batch.py``).
 
 Distance tracking is disabled in the matrix configs because it demands
 per-hit hooks: with it on, ``engine="fast"`` silently falls back to the
 reference loop and the comparison would be vacuous.  The fallback
 conditions themselves are covered at the bottom with a poisoned
-``drive_fast``.
+``drive_fused``.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ class TestBatchEquivalence:
 
     def test_thrash_bailout_matches(self, mixed_trace):
         """Lazy at tiny memory never completes pages: the batched
-        drive must take the same reference bail-out as drive_fast."""
+        drive must bail out to the reference loop bit-identically."""
         config = SimulationConfig(
             memory_pages=memory_pages_for(mixed_trace, 0.25),
             scheme="lazy",
@@ -371,7 +371,9 @@ class TestFallback:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("fast engine used despite fallback")
 
-        monkeypatch.setattr("repro.sim.simulator.drive_fast", boom)
+        # Simulator.run imports the fused driver from repro.sim.batch
+        # at call time, so patching the module attribute reaches it.
+        monkeypatch.setattr("repro.sim.batch.drive_fused", boom)
 
     def test_track_distances_falls_back(self, mixed_trace, monkeypatch):
         self._poison(monkeypatch)
@@ -396,6 +398,18 @@ class TestFallback:
             memory_pages=32,
             engine="fast",
             observe="metrics",
+            track_distances=False,
+        )
+        simulate(mixed_trace, cfg)
+
+    def test_tlb_falls_back(self, mixed_trace, monkeypatch):
+        """TLB miss walks interleave with the clock inside spans, so a
+        TLB config stays off the fused pass."""
+        self._poison(monkeypatch)
+        cfg = SimulationConfig(
+            memory_pages=32,
+            engine="fast",
+            tlb_entries=16,
             track_distances=False,
         )
         simulate(mixed_trace, cfg)
@@ -443,7 +457,7 @@ class TestFallback:
         self, mixed_trace, monkeypatch
     ):
         """Sanity for the poison technique: the default-engine config
-        with hooks disabled really does enter ``drive_fast``."""
+        with hooks disabled really does enter ``drive_fused``."""
         self._poison(monkeypatch)
         cfg = SimulationConfig(
             memory_pages=32, engine="fast", track_distances=False

@@ -7,8 +7,14 @@ addition chain in exactly the reference loop's order.
 import numpy as np
 
 from repro.sim import kernels
-from repro.sim.engine import span_clock
 from repro.sim.kernels import accumulate_lanes
+
+
+def scalar_chain(prods, i, j, clock):
+    """The reference loop's per-run ``clock += count * event_ms``."""
+    for p in prods[i:j].tolist():
+        clock += p
+    return clock
 
 
 class TestNumpyTier:
@@ -23,23 +29,23 @@ class TestNumpyTier:
                 want = want + prods[k]
             assert got[lane] == want  # bitwise: same chain, same order
 
-    def test_matches_span_clock_single_lane(self):
+    def test_matches_scalar_chain_single_lane(self):
         rng = np.random.default_rng(4)
         prods = rng.uniform(1e-3, 1e3, 1000)
         seeds = np.array([17.25])
         got = accumulate_lanes(prods, 0, 1000, seeds.copy())
-        assert got[0] == span_clock(prods, 0, 1000, 17.25)
+        assert got[0] == scalar_chain(prods, 0, 1000, 17.25)
 
     def test_chunk_boundaries_compose(self):
         # A span longer than the chunk must chain across chunks with no
-        # reordering: compare against one whole-span 1-D accumulate.
+        # reordering: compare against one whole-span scalar chain.
         n = kernels._CHUNK * 2 + 77
         rng = np.random.default_rng(5)
         prods = rng.uniform(1e-6, 1e6, n)
         seeds = rng.uniform(0.0, 1e9, 3)
         got = accumulate_lanes(prods, 5, n - 5, seeds.copy())
         for lane, seed in enumerate(seeds):
-            assert got[lane] == span_clock(prods, 5, n - 5, float(seed))
+            assert got[lane] == scalar_chain(prods, 5, n - 5, float(seed))
 
     def test_does_not_mutate_prods(self):
         prods = np.linspace(0.5, 1.5, 300)
